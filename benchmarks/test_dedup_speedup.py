@@ -60,8 +60,10 @@ def _workload_case():
 
 
 def _run(model: str, program, locs, dedup: bool):
+    # The ablated reduction layer (InternPool keys, CertificationCache) is
+    # the object backend's; the packed backend always memoises.
     if model == "flat":
-        result = explore_flat(program, FlatConfig(dedup=dedup))
+        result = explore_flat(program, FlatConfig(dedup=dedup, backend="object"))
         states = result.stats.states
     else:
         config = ExploreConfig(
@@ -69,6 +71,7 @@ def _run(model: str, program, locs, dedup: bool):
             dedup=dedup,
             cert_memo=dedup,
             max_states=OFF_BUDGET if not dedup else 500_000,
+            backend="object",
         )
         runner = explore_naive if model == "promising-naive" else explore
         result = runner(program, config)

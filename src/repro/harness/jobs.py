@@ -225,14 +225,13 @@ class Job:
         else:
             cfg = self.effective_flat_config()
         # The execution backend changes the state representation, never the
-        # outcome set (conformance-tested), and defaulted to "object" before
-        # the field existed — omit it at the default so fingerprints (and
-        # thus the result cache) are unchanged for every pre-seam job, while
-        # a non-default backend still keys its own cache entries.
+        # outcome set (conformance-tested), so it is not part of the key: a
+        # result computed on either backend answers a job on the other, and
+        # fingerprints match those of jobs cached before the field existed.
         cfg_items = sorted(
             (f.name, repr(getattr(cfg, f.name)))
             for f in dataclasses.fields(cfg)
-            if not (f.name == "backend" and getattr(cfg, f.name) == "object")
+            if f.name != "backend"
         )
         regs, locs = self.observables()
         parts = [

@@ -68,7 +68,8 @@ class ExploreConfig(BaseSearchConfig):
     shared_locations: tuple[Loc, ...] = ()
     #: Memoise certification (one sequential-graph build answers the
     #: certified / promises / can-complete questions per configuration).
-    #: Disabling falls back to the seed's separate searches.
+    #: Disabling falls back to the seed's separate searches.  An ablation
+    #: of the ``"object"`` backend only: the packed backend always memoises.
     cert_memo: bool = True
 
 

@@ -451,9 +451,9 @@ class ExplorationService:
         ):
             raise ServiceError(f"'max_states' must be an int in 1..{self.config.max_states_limit}")
 
-        from ..explore import STRATEGIES
+        from ..explore import BACKENDS, DEFAULT_BACKEND, DEFAULT_STRATEGY, STRATEGIES
 
-        strategy = options.get("strategy", "dfs")
+        strategy = options.get("strategy", DEFAULT_STRATEGY)
         if strategy not in STRATEGIES:
             raise ServiceError(
                 f"unknown strategy {strategy!r}; choose from {', '.join(STRATEGIES)}"
@@ -480,9 +480,7 @@ class ExplorationService:
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ServiceError("'seed' must be an integer")
 
-        from ..explore import BACKENDS
-
-        backend = options.get("backend", "object")
+        backend = options.get("backend", DEFAULT_BACKEND)
         if not isinstance(backend, str) or backend not in BACKENDS:
             raise ServiceError(f"unknown backend {backend!r}; choose from {', '.join(BACKENDS)}")
 

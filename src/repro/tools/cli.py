@@ -29,6 +29,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from ..explore import BACKENDS, DEFAULT_BACKEND, DEFAULT_STRATEGY, STRATEGIES
 from ..harness import DEFAULT_MODELS, MODELS, run_fuzz, run_sweep
 from ..lang.kinds import ARCH_ALIASES, Arch, parse_arch
 from ..obs import LOG_FORMATS, configure_logging
@@ -48,9 +49,14 @@ from ..promising import ExploreConfig, InteractiveSession
 
 
 def _arch(name: str) -> Arch:
-    # Historical CLI behaviour: unknown spellings fall back to ARM (the
-    # default), while the shared alias table decides what is known.
-    return parse_arch(name) or Arch.ARM
+    # Resolved at parse time, so an unknown spelling exits 2 with the
+    # known ones instead of silently exploring ARM.
+    arch = parse_arch(name)
+    if arch is None:
+        raise argparse.ArgumentTypeError(
+            f"unknown arch {name!r}; choose from {', '.join(ARCH_ALIASES)}"
+        )
+    return arch
 
 
 def _positive_int(text: str) -> int:
@@ -67,7 +73,7 @@ def _load_test(args: argparse.Namespace):
         text = Path(args.file).read_text()
         parsed = parse_litmus(text, unroll_bound=args.loop_bound)
         return parsed.test, parsed.arch
-    return get_test(args.test), _arch(args.arch)
+    return get_test(args.test), args.arch
 
 
 def _search_kwargs(args: argparse.Namespace) -> dict:
@@ -75,11 +81,11 @@ def _search_kwargs(args: argparse.Namespace) -> dict:
     return dict(
         loop_bound=args.loop_bound,
         dedup=not getattr(args, "no_dedup", False),
-        strategy=getattr(args, "strategy", "dfs"),
+        strategy=getattr(args, "strategy", DEFAULT_STRATEGY),
         samples=getattr(args, "samples", 256),
         sample_depth=getattr(args, "sample_depth", 4096),
         seed=getattr(args, "seed", 0),
-        backend=getattr(args, "backend", "object"),
+        backend=getattr(args, "backend", DEFAULT_BACKEND),
     )
 
 
@@ -186,7 +192,7 @@ def cmd_interactive(args: argparse.Namespace) -> int:
 
 
 def cmd_catalogue(args: argparse.Namespace) -> int:
-    arch = _arch(args.arch)
+    arch = args.arch
     for test in all_tests():
         expected = test.expected_verdict(arch)
         print(f"{test.name:24s} {expected.value if expected else '-':10s} {test.description}")
@@ -194,7 +200,7 @@ def cmd_catalogue(args: argparse.Namespace) -> int:
 
 
 def cmd_agreement(args: argparse.Namespace) -> int:
-    arch = _arch(args.arch)
+    arch = args.arch
     tests = generate_battery(max_tests=args.max_tests)
     report = check_agreement(
         tests,
@@ -209,7 +215,7 @@ def cmd_agreement(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    arch = _arch(args.arch)
+    arch = args.arch
     models = tuple(m.strip() for m in args.models.split(",") if m.strip())
     unknown = [m for m in models if m not in MODELS]
     if unknown:
@@ -265,7 +271,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     if not arch_names:
         print(f"no architectures given; choose from {', '.join(_ARCH_NAMES)}")
         return 2
-    archs = tuple(_arch(a) for a in arch_names)
+    archs = tuple(parse_arch(a) for a in arch_names)
     families = None
     if args.families:
         families = [f.strip() for f in args.families.split(",") if f.strip()]
@@ -382,15 +388,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="promising-arm",
         description="Promising-ARM/RISC-V exhaustive and interactive exploration tool",
     )
-    from ..explore import BACKENDS, STRATEGIES
-
-    parser.add_argument("--arch", default="arm", help="arm (default) or riscv")
+    parser.add_argument("--arch", type=_arch, default=Arch.ARM,
+                        help="architecture: arm (default) or riscv; "
+                             f"spellings: {', '.join(ARCH_ALIASES)}")
     parser.add_argument("--loop-bound", type=int, default=2, help="loop unrolling bound")
     parser.add_argument("--no-dedup", action="store_true",
                         help="disable state deduplication (ablation; slower, same outcomes)")
     parser.add_argument("--no-cert-memo", action="store_true",
-                        help="disable certification memoisation (ablation)")
-    parser.add_argument("--strategy", choices=STRATEGIES, default="dfs",
+                        help="disable certification memoisation (ablation; "
+                             "applies only to --backend object, packed ignores it)")
+    parser.add_argument("--strategy", choices=STRATEGIES, default=DEFAULT_STRATEGY,
                         help="search strategy: dfs/bfs enumerate exhaustively, "
                              "sample runs seeded bounded random walks "
                              "(sound under-approximation for huge state spaces)")
@@ -400,11 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="step bound of one random walk before restart")
     parser.add_argument("--seed", type=int, default=0,
                         help="PRNG seed of --strategy sample (same seed, same outcomes)")
-    parser.add_argument("--backend", choices=BACKENDS, default="object",
-                        help="execution backend: object walks the reference "
-                             "dataclass states; packed compiles the program once "
-                             "and explores interned integer-tuple states "
-                             "(same outcomes, much faster on large state spaces)")
+    parser.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
+                        help="execution backend: packed (default) compiles the "
+                             "program once and explores interned integer-tuple "
+                             "states; object walks the readable reference "
+                             "dataclass states (same outcomes, slower)")
     parser.add_argument("--log-format", choices=LOG_FORMATS, default="text",
                         help="structured log output: text (default) or json "
                              "(one JSON object per line on stderr)")

@@ -9,16 +9,16 @@ classes.  These tests pin that contract on a catalogue slice, a
 generated corpus slice, both architectures and all three explorers.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.backend import (
     BACKENDS,
+    DEFAULT_BACKEND,
     make_flat_backend,
     make_promising_backend,
     validate_backend,
 )
+from repro.explore import DEFAULT_STRATEGY
 from repro.flat import (
     FlatConfig,
     FlatStats,
@@ -341,32 +341,59 @@ def test_validate_backend_rejects_unknown():
         explore(get_test("MP").program, ExploreConfig(backend="turbo"))
 
 
+#: ``Job(test=get_test("MP"), model="promising").fingerprint()`` under the
+#: ``"object"`` default.  Results cached under that key must keep
+#: answering the same job whatever the default backend is.
+MP_PROMISING_FINGERPRINT = "b79c194396af26c3e7b67898b35b92938af58a07bea402451fefbc83279ab4a4"
+
+
 def test_default_backend_keeps_cache_fingerprints():
-    # The `backend` field is omitted from fingerprints at its default, so
-    # every result cached before the seam stays valid; a non-default
-    # backend keys its own entries.
+    # Outcomes are backend-independent, so the backend never enters the
+    # fingerprint: the default, object and packed jobs share one key, and
+    # it is the key every earlier default job was cached under.
     test = get_test("MP")
     default = Job(test=test, model="promising", arch=Arch.ARM)
-    explicit = Job(
-        test=test,
-        model="promising",
-        arch=Arch.ARM,
-        explore_config=ExploreConfig(backend="object"),
-    )
-    packed = Job(
-        test=test,
-        model="promising",
-        arch=Arch.ARM,
-        explore_config=ExploreConfig(backend="packed"),
-    )
-    assert default.fingerprint() == explicit.fingerprint()
-    assert packed.fingerprint() != default.fingerprint()
+    fingerprints = {default.fingerprint()}
+    for backend in BACKENDS:
+        config = ExploreConfig(backend=backend)
+        job = Job(test=test, model="promising", arch=Arch.ARM, explore_config=config)
+        fingerprints.add(job.fingerprint())
+    assert fingerprints == {MP_PROMISING_FINGERPRINT}
     # The field exists on the effective config — only the fingerprint
-    # omits it (at the default), which the equalities above pin down.
-    assert any(
-        f.name == "backend"
-        for f in dataclasses.fields(default.effective_explore_config())
-    )
+    # omits it, which the equality above pins down.
+    assert default.effective_explore_config().backend == DEFAULT_BACKEND == "packed"
+
+
+def test_cli_and_service_read_the_declared_defaults():
+    # One declaration of the backend and strategy defaults: the CLI's
+    # parsed flags and the service's normalised jobs both carry it.
+    from repro.service import ExplorationService, ServiceConfig
+    from repro.tools.cli import _explore_config, _flat_config, build_parser
+
+    args = build_parser().parse_args(["run", "--test", "MP"])
+    assert (args.backend, args.strategy) == (DEFAULT_BACKEND, DEFAULT_STRATEGY)
+    payload = {"test": "MP", "models": ["promising", "flat"]}
+    request = ExplorationService(ServiceConfig()).normalize(payload)
+    configs = [_explore_config(args), _flat_config(args)]
+    configs += [request.jobs[0].explore_config, request.jobs[1].flat_config]
+    for config in configs:
+        assert (config.backend, config.strategy) == (DEFAULT_BACKEND, DEFAULT_STRATEGY)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda program: explore(program, ExploreConfig()),
+        lambda program: explore_naive(program, ExploreConfig()),
+        lambda program: explore_flat(program, FlatConfig()),
+    ],
+    ids=["explore", "explore_naive", "explore_flat"],
+)
+def test_default_runs_take_the_packed_path(run):
+    # Only the packed backend replays memoised steps; the object walk
+    # leaves the step-memo counters at zero.
+    stats = run(get_test("MP").program).stats
+    assert stats.step_memo_misses > 0
 
 
 def test_conformance_slice_is_nontrivial():

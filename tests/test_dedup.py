@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.explore import BACKENDS
 from repro.flat.explorer import FlatConfig, explore_flat
 from repro.lang.kinds import Arch
 from repro.litmus import generate_cycle_battery, get_test
@@ -45,43 +46,47 @@ def corpus_sample(count=8, seed=3):
 
 
 class TestDedupPreservesOutcomes:
+    # The dedup knob exists on both backends (the object backend's
+    # InternPool is its visited-set key), so each law runs on both.
     @pytest.mark.parametrize("test", corpus_sample(), ids=lambda t: t.name)
     def test_explore_dedup_off_is_identical(self, test):
         locs = tuple(test.observable_locations())
-        on = explore(test.program, ExploreConfig(shared_locations=locs))
-        off = explore(
-            test.program,
-            ExploreConfig(shared_locations=locs, dedup=False, cert_memo=False),
-        )
-        assert set(on.outcomes) == set(off.outcomes), test.name
-        assert not on.stats.truncated and not off.stats.truncated
+        for backend in BACKENDS:
+            base = dict(shared_locations=locs, backend=backend)
+            on = explore(test.program, ExploreConfig(**base))
+            off = explore(test.program, ExploreConfig(**base, dedup=False, cert_memo=False))
+            assert set(on.outcomes) == set(off.outcomes), (test.name, backend)
+            assert not on.stats.truncated and not off.stats.truncated
 
     @pytest.mark.parametrize("test", corpus_sample(count=4, seed=5), ids=lambda t: t.name)
     def test_naive_dedup_off_is_identical(self, test):
         locs = tuple(test.observable_locations())
-        on = explore_naive(test.program, ExploreConfig(shared_locations=locs))
-        off = explore_naive(
-            test.program,
-            ExploreConfig(shared_locations=locs, dedup=False, cert_memo=False),
-        )
-        assert set(on.outcomes) == set(off.outcomes), test.name
-        # Without the visited set, symmetric interleavings are re-explored.
-        assert off.stats.promise_states >= on.stats.promise_states
-        assert on.stats.dedup_hits > 0 and off.stats.dedup_hits == 0
+        for backend in BACKENDS:
+            base = dict(shared_locations=locs, backend=backend)
+            on = explore_naive(test.program, ExploreConfig(**base))
+            off = explore_naive(test.program, ExploreConfig(**base, dedup=False, cert_memo=False))
+            assert set(on.outcomes) == set(off.outcomes), (test.name, backend)
+            # Without the visited set, symmetric interleavings are re-explored.
+            assert off.stats.promise_states >= on.stats.promise_states
+            assert on.stats.dedup_hits > 0 and off.stats.dedup_hits == 0
 
     def test_flat_dedup_off_is_identical(self):
         test = get_test("MP")
-        on = explore_flat(test.program, FlatConfig())
-        off = explore_flat(test.program, FlatConfig(dedup=False))
-        assert set(on.outcomes) == set(off.outcomes)
-        assert on.stats.dedup_hits > 0 and off.stats.dedup_hits == 0
-        assert off.stats.states > on.stats.states
+        for backend in BACKENDS:
+            on = explore_flat(test.program, FlatConfig(backend=backend))
+            off = explore_flat(test.program, FlatConfig(dedup=False, backend=backend))
+            assert set(on.outcomes) == set(off.outcomes)
+            assert on.stats.dedup_hits > 0 and off.stats.dedup_hits == 0
+            assert off.stats.states > on.stats.states
 
     def test_cert_memo_alone_preserves_outcomes(self):
+        # ``cert_memo`` is an ablation of the object backend; packed
+        # always memoises.
         test = get_test("MP+dmb+addr")
         locs = tuple(test.observable_locations())
-        memo = explore(test.program, ExploreConfig(shared_locations=locs, cert_memo=True))
-        plain = explore(test.program, ExploreConfig(shared_locations=locs, cert_memo=False))
+        base = dict(shared_locations=locs, backend="object")
+        memo = explore(test.program, ExploreConfig(**base, cert_memo=True))
+        plain = explore(test.program, ExploreConfig(**base, cert_memo=False))
         assert set(memo.outcomes) == set(plain.outcomes)
         # The memo path answers certified/promises/can-finish from one
         # graph build: half the certification invocations.

@@ -1,7 +1,8 @@
 """Tests for the comparison utilities and the command-line interface."""
 
+import pytest
 
-from repro.lang.kinds import Arch
+from repro.lang.kinds import ARCH_ALIASES, Arch
 from repro.litmus import get_test
 from repro.tools import compare_models, observables
 from repro.tools.cli import build_parser, main
@@ -47,6 +48,18 @@ class TestCli:
         assert args.command == "serve" and args.port == 0
         assert args.workers == 4 and args.batch_delay_ms == 2.5
         assert args.cache_dir == "/tmp/c" and args.lru_capacity == 4096
+
+    def test_unknown_arch_is_rejected(self, capsys):
+        # Never a silent fallback to ARM: argparse exits 2 with the spellings.
+        with pytest.raises(SystemExit) as exc:
+            main(["--arch", "bogus", "run", "--test", "MP"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown arch 'bogus'" in err and all(name in err for name in ARCH_ALIASES)
+
+    def test_arch_aliases_resolve_at_parse_time(self):
+        args = build_parser().parse_args(["--arch", "RISC-V", "run"])
+        assert args.arch is Arch.RISCV
 
     def test_run_command(self, capsys):
         assert main(["run", "--test", "MP+dmbs", "--axiomatic"]) == 0
