@@ -125,19 +125,6 @@ print(f"claims: {report['claims']}")
 EOF
 echo "report written to BENCH_sample.json"
 
-echo "== dedup ablation (writes BENCH_dedup.json) =="
-python -m pytest -q benchmarks/test_dedup_speedup.py
-
-python - <<'EOF'
-import json
-report = json.load(open("BENCH_dedup.json"))
-agg = report["aggregate_completing_pairs"]
-print(f"dedup-on vs dedup-off (completing pairs): {agg['speedup']}x "
-      f"({agg['off_seconds']}s -> {agg['on_seconds']}s)")
-print(f"interleaved explorers (naive/flat): {report['interleaved_explorers_speedup']}x")
-EOF
-echo "report written to BENCH_dedup.json"
-
 echo "== observability overhead (instrumented vs REPRO_OBS_DISABLED=1; writes BENCH_obs.json) =="
 python scripts/bench_obs.py
 

@@ -14,9 +14,8 @@ Two backends conform today:
 
 ``object``
     The reference backend (:mod:`repro.backend.object`): states are the
-    historical ``MachineState``/``FlatState`` dataclass graphs, keyed by
-    hash-consed ``cache_key()`` tuples.  Bit-identical to the
-    pre-seam explorers.
+    ``MachineState``/``FlatState`` dataclass graphs, keyed by their
+    ``cache_key()`` snapshot tuples: the paper's rules walked plainly.
 
 ``packed``
     The compiled backend (:mod:`repro.backend.packed`): the program is

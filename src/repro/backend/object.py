@@ -3,9 +3,9 @@
 These wrap the historical dataclass-walking enumeration behind the
 backend seam without changing a single step of it: states are the
 ``MachineState``/``FlatState`` object graphs themselves (``encode`` and
-``decode`` are the identity), visited-set keys are the hash-consed
-``cache_key()`` tuples, and certification/intern/phase accounting is
-byte-for-byte the logic the explorers ran before the seam existed.  The
+``decode`` are the identity), visited-set keys are the ``cache_key()``
+snapshot tuples, and certification goes through one per-run
+:class:`~repro.promising.certification.CertificationCache`.  The
 conformance suite holds the ``packed`` backend to this one's outcomes
 and counters.
 """
@@ -13,7 +13,7 @@ and counters.
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional
+from typing import Optional
 
 from ..explore import DepthFirst, SearchKernel
 from ..lang.ast import Stmt
@@ -21,12 +21,7 @@ from ..lang.kinds import Arch
 from ..lang.program import Program, TId
 from ..obs.tracing import PhaseAccumulator
 from ..outcomes import Outcome
-from ..promising.certification import (
-    CertificationCache,
-    can_complete_without_promising,
-    find_and_certify,
-)
-from ..promising.intern import InternPool
+from ..promising.certification import CertificationCache
 from ..promising.machine import MachineState, machine_transitions
 from ..promising.state import Memory, TState
 from ..promising.steps import is_terminated, non_promise_steps, promise_step
@@ -41,7 +36,6 @@ def enumerate_completions(
     tid: TId,
     stats,
     max_states: int,
-    key_fn: Optional[Callable],
 ) -> set[tuple]:
     """All final register states of one thread under a fixed memory.
 
@@ -52,15 +46,13 @@ def enumerate_completions(
 
     Always exhaustive (plain DFS through the kernel) even when the outer
     promise search is sampling: a sampled run must under-approximate the
-    *reachable memories*, never fabricate partial register files.  With a
-    ``key_fn`` (dedup enabled) symmetric instruction interleavings that
-    reconverge on the same thread state are enumerated once; without it
-    the search degenerates to the full execution tree (ablation mode).
-    The key function is backend-specific — hash-consed ``(statement,
-    thread-state key)`` tuples for ``object``, ``(statement id, packed
-    thread state)`` for ``packed`` — but induces the same equivalence
-    classes, so the ``thread_enumeration_states`` / ``thread_dedup_hits``
-    counters agree across backends.
+    *reachable memories*, never fabricate partial register files.
+    Symmetric instruction interleavings that reconverge on the same
+    thread state are enumerated once.  The visited key is
+    backend-specific — ``(statement, thread-state key)`` here,
+    ``(statement id, packed thread state)`` on ``packed`` — but induces
+    the same equivalence classes, so the ``thread_enumeration_states`` /
+    ``thread_dedup_hits`` counters agree across backends.
     """
     results: set[tuple] = set()
 
@@ -75,7 +67,10 @@ def enumerate_completions(
         ]
 
     kernel = SearchKernel(
-        expand, strategy=DepthFirst(), max_states=max_states, key_fn=key_fn
+        expand,
+        strategy=DepthFirst(),
+        max_states=max_states,
+        key_fn=lambda node: (node[0], node[1].cache_key()),
     )
     kernel.run([(stmt, ts)])
     stats.thread_enumeration_states += kernel.stats.states
@@ -95,12 +90,7 @@ class ObjectPromisingBackend:
         self.config = config
         self.arch = config.arch
         self.stats = stats
-        self.pool = InternPool() if config.dedup else None
-        self.cert_cache = (
-            CertificationCache(config.arch, config.cert_fuel)
-            if config.cert_memo
-            else None
-        )
+        self.cert_cache = CertificationCache(config.arch, config.cert_fuel)
         # Memoise per-thread completion enumeration across final-memory
         # states: different promise interleavings frequently reconverge.
         self._completions: dict[tuple, set[tuple]] = {}
@@ -117,42 +107,26 @@ class ObjectPromisingBackend:
         return packed
 
     def key(self, state: MachineState):
-        # The hash-consing visited-set key, timed as the "intern" phase.
+        # The visited-set key, timed as the "intern" phase.
         t0 = time.perf_counter()
-        key = state.cache_key(self.pool)
+        key = state.cache_key()
         self.phases.add("intern", time.perf_counter() - t0)
         return key
 
     # -- promise-first exploration ----------------------------------------
     def certify_all(self, state: MachineState):
         """Certify every thread; returns (per-thread results, can-finish)."""
-        stats = self.stats
         per_thread = []
         can_finish = []
         phase_start = time.perf_counter()
         for tid, thread in enumerate(state.threads):
-            if self.cert_cache is not None:
-                # One sequential-graph build (memoised) answers both the
-                # promise enumeration and the can-finish question.
-                cert = self.cert_cache.certify(
-                    thread.stmt, thread.tstate, state.memory, tid
-                )
-                can_finish.append(cert.can_complete)
-            else:
-                stats.cert_calls += 2
-                cert = find_and_certify(
-                    thread.stmt, thread.tstate, state.memory, self.arch, tid,
-                    self.config.cert_fuel,
-                )
-                can_finish.append(
-                    can_complete_without_promising(
-                        thread.stmt, thread.tstate, state.memory, self.arch, tid,
-                        self.config.cert_fuel,
-                    )
-                )
+            # One sequential-graph build (memoised) answers both the
+            # promise enumeration and the can-finish question.
+            cert = self.cert_cache.certify(thread.stmt, thread.tstate, state.memory, tid)
             if not cert.complete:
-                stats.truncated = True
+                self.stats.truncated = True
             per_thread.append(cert)
+            can_finish.append(cert.can_complete)
         self.phases.add("certify", time.perf_counter() - phase_start)
         return per_thread, can_finish
 
@@ -167,26 +141,21 @@ class ObjectPromisingBackend:
         thread_results: list[set[tuple]] = []
         feasible = True
         for tid, thread in enumerate(state.threads):
-            if self.pool is not None:
-                cache_key = (tid, thread.key(), state.memory.cache_key())
-                if cache_key in self._completions:
-                    stats.completion_memo_hits += 1
-                else:
-                    pool = self.pool
-                    key_fn = lambda node: (  # noqa: E731
-                        node[0],
-                        pool.tstates.intern(node[1].cache_key()),
-                    )
-                    self._completions[cache_key] = enumerate_completions(
-                        thread.stmt, thread.tstate, state.memory, self.arch,
-                        tid, stats, self.config.max_states, key_fn,
-                    )
-                regs = self._completions[cache_key]
+            cache_key = (tid, thread.key(), state.memory.cache_key())
+            regs = self._completions.get(cache_key)
+            if regs is not None:
+                stats.completion_memo_hits += 1
             else:
                 regs = enumerate_completions(
-                    thread.stmt, thread.tstate, state.memory, self.arch,
-                    tid, stats, self.config.max_states, None,
+                    thread.stmt,
+                    thread.tstate,
+                    state.memory,
+                    self.arch,
+                    tid,
+                    stats,
+                    self.config.max_states,
                 )
+                self._completions[cache_key] = regs
             if not regs:
                 feasible = False
                 break
@@ -252,13 +221,9 @@ class ObjectPromisingBackend:
 
     # -- accounting ---------------------------------------------------------
     def finalise(self, stats, model: str) -> None:
-        """Fold the run's intern/cert counters into stats; flush phases."""
-        if self.pool is not None:
-            stats.interned_keys = self.pool.unique
-            stats.intern_hits = self.pool.hits
-        if self.cert_cache is not None:
-            stats.cert_calls += self.cert_cache.calls
-            stats.cert_memo_hits += self.cert_cache.hits
+        """Fold the run's cert counters into stats; flush phases."""
+        stats.cert_calls += self.cert_cache.calls
+        stats.cert_memo_hits += self.cert_cache.hits
         self.phases.flush(EXPLORE_PHASE_SECONDS, model=model)
 
 

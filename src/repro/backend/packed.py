@@ -85,8 +85,6 @@ class PackedPromisingBackend:
         #: resulting id never needs a messages-tuple hash twice.
         self._appends: dict[tuple, int] = {}
         #: Certification memo keyed by small ``(tid, tcfg, mem)`` tuples.
-        #: Always on: memoisation is what the packed representation *is*
-        #: (``cert_memo=False`` remains an object-backend ablation).
         self._certs: dict[tuple, CertificationResult] = {}
         self._cert_hits = 0
         self._cert_misses = 0
@@ -250,18 +248,14 @@ class PackedPromisingBackend:
         mem = packed[-1]
         per_thread: list[tuple] = []
         feasible = True
-        dedup = self.config.dedup
         for tid in range(len(packed) - 1):
-            if dedup:
-                memo_key = (tid, packed[tid], mem)
-                ids = self._completions.get(memo_key)
-                if ids is not None:
-                    stats.completion_memo_hits += 1
-                else:
-                    ids = self._enumerate(tid, packed[tid], mem, dedup=True)
-                    self._completions[memo_key] = ids
+            memo_key = (tid, packed[tid], mem)
+            ids = self._completions.get(memo_key)
+            if ids is not None:
+                stats.completion_memo_hits += 1
             else:
-                ids = self._enumerate(tid, packed[tid], mem, dedup=False)
+                ids = self._enumerate(tid, packed[tid], mem)
+                self._completions[memo_key] = ids
             if not ids:
                 feasible = False
                 break
@@ -304,16 +298,16 @@ class PackedPromisingBackend:
                     Outcome(tuple(objects[i] for i in combo), items)
                 )
 
-    def _enumerate(self, tid: int, cfg: int, mem: int, dedup: bool) -> tuple:
+    def _enumerate(self, tid: int, cfg: int, mem: int) -> tuple:
         """Compiled run-to-completion enumeration of one thread.
 
         The packed counterpart of
         :func:`~repro.backend.object.enumerate_completions`: nodes are
         ``(stmt id, thread state)`` pairs expanded through the compiled
-        candidate tables (non-promise steps only), deduplicated — when
-        enabled — under ``(stmt id, packed regs)`` keys.  Node classes,
-        expansion order and kernel counters match the object backend's
-        enumeration exactly.  Returns the final register files as a
+        candidate tables (non-promise steps only), deduplicated under
+        ``(stmt id, packed regs)`` keys.  Node classes, expansion order
+        and kernel counters match the object backend's enumeration
+        exactly.  Returns the final register files as a
         sorted tuple of interned ids (decoded on demand by
         :meth:`completion_sets`).
         """
@@ -338,14 +332,11 @@ class PackedPromisingBackend:
                 )
             ]
 
-        key_fn = None
-        if dedup:
-            key_fn = lambda node: (node[0], node[1].pack(registers))  # noqa: E731
         kernel = SearchKernel(
             expand,
             strategy=DepthFirst(),
             max_states=self.config.max_states,
-            key_fn=key_fn,
+            key_fn=lambda node: (node[0], node[1].pack(registers)),
         )
         kernel.run([(sid, ts)])
         stats = self.stats

@@ -1,12 +1,11 @@
 """Unified exploration kernel with pluggable search strategies.
 
 One :class:`SearchKernel` owns what every explorer used to hand-roll —
-frontier, interned visited sets, state/wall-clock budgets, truncation
+frontier, visited sets, state/wall-clock budgets, truncation
 accounting, and a shared stats vocabulary — parameterised by a
 transition-enumeration callback and a :class:`Strategy`:
 
-* ``dfs`` / ``bfs`` — exhaustive enumeration (``dfs`` is the historical,
-  bit-identical default);
+* ``dfs`` — exhaustive enumeration, pruned by a visited set;
 * ``sample`` — seeded bounded random walks with restart, producing a
   sound under-approximation of the outcome set on state spaces that
   exhaustive search cannot touch.
@@ -23,7 +22,6 @@ from .config import BACKENDS, BaseSearchConfig, DEFAULT_BACKEND, DEFAULT_STRATEG
 from .kernel import KernelStats, SearchKernel, SearchStats
 from .strategy import (
     STRATEGIES,
-    BreadthFirst,
     DepthFirst,
     RandomWalks,
     Strategy,
@@ -43,7 +41,6 @@ __all__ = [
     "STRATEGIES",
     "Strategy",
     "DepthFirst",
-    "BreadthFirst",
     "RandomWalks",
     "is_exhaustive",
     "make_strategy",

@@ -1,7 +1,7 @@
 """Shared configuration base of every state-space explorer.
 
 Historically each explorer grew its own config dataclass and the common
-fields (architecture, loop bound, state budget, dedup knob) drifted into
+fields (architecture, loop bound, state budget, strategy) drifted into
 triplicates.  :class:`BaseSearchConfig` is the single home for everything
 the :class:`~repro.explore.kernel.SearchKernel` consumes; the concrete
 explorer configs (:class:`~repro.promising.exhaustive.ExploreConfig`,
@@ -52,14 +52,10 @@ class BaseSearchConfig:
     #: unbounded).  Measured with ``time.monotonic`` so NTP adjustments
     #: can never fire it early or late; hitting it marks the run truncated.
     deadline_seconds: Optional[float] = None
-    #: Deduplicate structurally identical states (visited sets over
-    #: hash-consed state keys).  Disabling is for ablation benchmarks
-    #: only; the outcome set of an exhaustive run is identical either way.
-    dedup: bool = True
-    #: Frontier discipline: ``"dfs"`` (default, the historical behaviour),
-    #: ``"bfs"``, or ``"sample"`` — seeded bounded random walks with
-    #: restart.  Exhaustive strategies produce identical outcome sets;
-    #: ``sample`` produces a sound under-approximation.
+    #: Frontier discipline: ``"dfs"`` (default; exhaustive, with a
+    #: visited set over the backend's state keys) or ``"sample"`` —
+    #: seeded bounded random walks with restart, a sound
+    #: under-approximation of the outcome set.
     strategy: str = DEFAULT_STRATEGY
     #: Number of random walks a ``sample`` run performs.
     samples: int = 256

@@ -11,8 +11,7 @@ a state budget, truncation accounting, and stats counters.  The
   the successor states (and recording outcomes/deadlocks as a side
   effect when the popped state is terminal), and
 * a pluggable :class:`~repro.explore.strategy.Strategy` deciding the
-  frontier discipline (``dfs``/``bfs`` exhaustive, ``sample`` random
-  walks).
+  frontier discipline (``dfs`` exhaustive, ``sample`` random walks).
 
 The kernel's counters land in a :class:`KernelStats`, which the concrete
 explorers fold into their domain-specific stats dataclasses (both of
@@ -73,7 +72,7 @@ class SearchStats:
     elapsed_seconds: float = 0.0
     #: Visited-set hits (exhaustive strategies only).
     dedup_hits: int = 0
-    #: Strategy that produced this result (``dfs``/``bfs``/``sample``).
+    #: Strategy that produced this result (``dfs``/``sample``).
     strategy: str = "dfs"
     #: Random walks completed (``sample`` only).
     samples_run: int = 0
@@ -153,8 +152,8 @@ class SearchKernel:
         the wall clock must never fire a deadline early or late).
     key_fn:
         Hashable-identity function for the visited set (typically a
-        hash-consing ``cache_key``).  ``None`` disables dedup — the
-        ablation mode, or a strategy that must re-traverse freely.
+        ``cache_key``).  ``None`` runs without a visited set: the search
+        then walks the full execution tree.
     """
 
     def __init__(
@@ -178,34 +177,6 @@ class SearchKernel:
         self.visited: Optional[set] = set() if key_fn is not None and strategy.exhaustive else None
         self.stats = KernelStats()
         self._deadline: Optional[float] = None
-
-    @classmethod
-    def for_backend(
-        cls,
-        backend,
-        successors: Callable[[object], Iterable],
-        *,
-        strategy: Strategy,
-        max_states: int,
-        deadline_seconds: Optional[float] = None,
-        dedup: bool = True,
-    ) -> "SearchKernel":
-        """Kernel whose visited-set identity comes from an execution backend.
-
-        ``backend`` is any object with the :class:`ExecutionBackend
-        <repro.backend.base.ExecutionBackend>` shape (duck-typed — this
-        module must not import the backend implementations); its
-        ``key(packed)`` becomes the kernel's ``key_fn``.  ``dedup=False``
-        drops the visited set exactly like passing ``key_fn=None``
-        directly (the ablation mode).
-        """
-        return cls(
-            successors,
-            strategy=strategy,
-            max_states=max_states,
-            deadline_seconds=deadline_seconds,
-            key_fn=backend.key if dedup else None,
-        )
 
     def deadline_exceeded(self) -> bool:
         if self._deadline is None:

@@ -3,14 +3,10 @@
 A strategy owns the *drive loop*: how the frontier is ordered, whether a
 visited set prunes re-expansion, and when the search stops.  The kernel
 supplies everything else (the transition callback, budgets, stats), so
-the three concrete strategies stay tiny:
+the two concrete strategies stay tiny:
 
-* :class:`DepthFirst` — LIFO frontier, visited-set pruning.  This is the
-  historical behaviour of every explorer in the repo, bit-identical by
-  construction (same push order, same pop position, same pre-insertion
-  dedup check, same budget accounting).
-* :class:`BreadthFirst` — FIFO frontier, otherwise identical.  Exhaustive
-  strategies visit the same state set, so their outcome sets are equal.
+* :class:`DepthFirst` — LIFO frontier, visited-set pruning: the
+  exhaustive search behind every explorer in the repo.
 * :class:`RandomWalks` — the ``sample`` strategy: N seeded bounded random
   walks with restart, in the spirit of litmus-style statistical running
   (vs. herd-style enumeration).  No pruning — a walk follows one random
@@ -22,7 +18,6 @@ the three concrete strategies stay tiny:
 from __future__ import annotations
 
 import random
-from collections import deque
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -43,22 +38,19 @@ class Strategy:
         return self.name
 
 
-class _Worklist(Strategy):
-    """Shared drive loop of the exhaustive strategies."""
+class DepthFirst(Strategy):
+    """``dfs``: LIFO frontier, pruned by the kernel's visited set."""
 
-    def _pop(self, frontier: deque):
-        raise NotImplementedError
+    name = "dfs"
 
     def search(self, kernel: "SearchKernel", roots: Sequence) -> None:
         stats = kernel.stats
-        frontier: deque = deque()
+        frontier = list(roots)
         visited = kernel.visited
-        for root in roots:
-            if visited is not None:
-                visited.add(kernel.key_fn(root))
-            frontier.append(root)
+        if visited is not None:
+            visited.update(map(kernel.key_fn, frontier))
         while frontier:
-            state = self._pop(frontier)
+            state = frontier.pop()
             stats.states += 1
             if stats.states > kernel.max_states or kernel.deadline_exceeded():
                 stats.truncated = True
@@ -72,20 +64,6 @@ class _Worklist(Strategy):
                         continue
                     visited.add(key)
                 frontier.append(successor)
-
-
-class DepthFirst(_Worklist):
-    name = "dfs"
-
-    def _pop(self, frontier: deque):
-        return frontier.pop()
-
-
-class BreadthFirst(_Worklist):
-    name = "bfs"
-
-    def _pop(self, frontier: deque):
-        return frontier.popleft()
 
 
 class RandomWalks(Strategy):
@@ -154,14 +132,12 @@ class RandomWalks(Strategy):
 
 
 #: Registry of strategy names accepted by configs, the CLI, and the service.
-STRATEGIES = ("dfs", "bfs", "sample")
-
-_EXHAUSTIVE = {"dfs", "bfs"}
+STRATEGIES = ("dfs", "sample")
 
 
 def is_exhaustive(name: str) -> bool:
     """Whether ``name`` is an exhaustive (full-enumeration) strategy."""
-    return name in _EXHAUSTIVE
+    return name == "dfs"
 
 
 def make_strategy(
@@ -170,8 +146,6 @@ def make_strategy(
     """Instantiate a strategy by name (the config-facing constructor)."""
     if name == "dfs":
         return DepthFirst()
-    if name == "bfs":
-        return BreadthFirst()
     if name == "sample":
         return RandomWalks(samples=samples, depth=sample_depth, seed=seed)
     raise ValueError(f"unknown search strategy {name!r}; expected one of {STRATEGIES}")
@@ -191,7 +165,6 @@ __all__ = [
     "STRATEGIES",
     "Strategy",
     "DepthFirst",
-    "BreadthFirst",
     "RandomWalks",
     "is_exhaustive",
     "make_strategy",

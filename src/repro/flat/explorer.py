@@ -49,7 +49,7 @@ class FlatConfig(BaseSearchConfig):
     """Configuration of the Flat-style explorer.
 
     The search-kernel fields (``arch``, ``loop_bound``, ``max_states``,
-    ``deadline_seconds``, ``dedup``, ``strategy``, ``samples``,
+    ``deadline_seconds``, ``strategy``, ``samples``,
     ``sample_depth``, ``seed``) come from :class:`BaseSearchConfig`.
     """
 
@@ -385,7 +385,7 @@ def successors(state: FlatState, config: FlatConfig) -> Iterator[tuple[str, Flat
 def explore_flat(program: Program, config: Optional[FlatConfig] = None) -> FlatResult:
     """Enumerate outcomes under the Flat-style model.
 
-    Exhaustive under ``dfs``/``bfs``; under ``sample`` each walk is one
+    Exhaustive under ``dfs``; under ``sample`` each walk is one
     random sequence of fetch/execute/resolve transitions run to a final
     state, so the outcome set is a sound under-approximation.
     """
@@ -412,13 +412,12 @@ def explore_flat(program: Program, config: Optional[FlatConfig] = None) -> FlatR
             return []
         return backend.successors(packed)
 
-    kernel = SearchKernel.for_backend(
-        backend,
+    kernel = SearchKernel(
         expand,
         strategy=strategy_for(config),
         max_states=config.max_states,
         deadline_seconds=config.deadline_seconds,
-        dedup=config.dedup,
+        key_fn=backend.key,
     )
     kernel.run([backend.initial()])
     stats.states += kernel.stats.states

@@ -51,7 +51,9 @@ if TYPE_CHECKING:  # litmus imports harness (runner); keep ours lazy.
 #: ``samples``, ``sample_depth``, ``seed``, ``deadline_seconds``), so a
 #: sampled (or otherwise bounded) run keys a *different* cache entry and
 #: can never shadow an exhaustive result.
-FINGERPRINT_VERSION = 2
+#: v3: the ``dedup`` and ``cert_memo`` ablation fields left the explorer
+#: configs, which changes every job's hashed field list.
+FINGERPRINT_VERSION = 3
 
 #: Models a job can request.
 MODELS = ("promising", "promising-naive", "axiomatic", "flat")

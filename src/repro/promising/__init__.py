@@ -20,7 +20,6 @@ from .certification import (
     certify_thread,
     find_and_certify,
 )
-from .intern import Interner, InternPool
 from .machine import MachineState, MachineTransition, Thread, machine_transitions, run_deterministic
 from .exhaustive import (
     ExplorationResult,
@@ -56,8 +55,6 @@ __all__ = [
     "certified",
     "certify_thread",
     "find_and_certify",
-    "Interner",
-    "InternPool",
     "MachineState",
     "MachineTransition",
     "Thread",

@@ -319,8 +319,10 @@ def _certify(
     """Shared body of :func:`find_and_certify` / :func:`certify_thread`.
 
     ``want_can_complete`` additionally derives the fixed-memory
-    completion answer from the same graph; it is opt-in so the seed-cost
-    path (the ``cert_memo=False`` ablation) does not pay for it.
+    completion answer from the same graph; it is opt-in so the uncached
+    reference path (:func:`machine_transitions
+    <repro.promising.machine.machine_transitions>` without a cache) does
+    not pay for it.
     """
     fast = _certify_fastpath(stmt, ts)
     if fast is not None:
@@ -456,7 +458,8 @@ class CertificationCache:
 
     The cache is deliberately per-run, not module-global: a sweep over
     thousands of litmus jobs must not retain certification graphs across
-    tests.
+    tests.  It is the object backend's certification route; the packed
+    backend memoises :func:`certify_compiled` on its own integer keys.
     """
 
     __slots__ = ("arch", "fuel", "_memo", "hits", "calls")
@@ -470,18 +473,6 @@ class CertificationCache:
 
     def certify(self, stmt: Stmt, ts: TState, memory: Memory, tid: TId) -> CertificationResult:
         key = (tid, stmt, ts.cache_key(), memory.cache_key())
-        return self.certify_keyed(key, stmt, ts, memory, tid)
-
-    def certify_keyed(
-        self, key, stmt: Stmt, ts: TState, memory: Memory, tid: TId
-    ) -> CertificationResult:
-        """Memoised certification under a caller-supplied key.
-
-        The key must identify the configuration at least as finely as the
-        default ``(tid, stmt, ts.cache_key(), memory.cache_key())``.  The
-        packed execution backend supplies its small integer-tuple keys
-        here, so the memo probe never re-hashes a deep state snapshot.
-        """
         self.calls += 1
         result = self._memo.get(key)
         if result is not None:

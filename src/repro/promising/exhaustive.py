@@ -1,7 +1,7 @@
 """Exploration of Promising-ARM/RISC-V executions (§7).
 
 Two explorers are provided, both driven by the unified search kernel
-(:mod:`repro.explore`) and its pluggable strategies (``dfs``/``bfs``
+(:mod:`repro.explore`) and its pluggable strategies (``dfs``
 exhaustive, ``sample`` seeded random walks):
 
 * :func:`explore` — the paper's optimised strategy.  By Theorem 7.1 every
@@ -15,8 +15,7 @@ exhaustive, ``sample`` seeded random walks):
 * :func:`explore_naive` — the unoptimised reference: a plain search over
   all certified machine transitions (reads, writes and promises fully
   interleaved).  It produces the same outcome set and exists for
-  cross-validation and for the ablation benchmark quantifying the value of
-  the promise-first strategy.
+  cross-validation of the promise-first strategy (§7).
 
 Under the ``sample`` strategy the kernel walks the same transition
 relation instead of enumerating it, so the outcome set is a sound
@@ -51,7 +50,7 @@ class ExploreConfig(BaseSearchConfig):
     """Configuration of the promising explorers.
 
     The search-kernel fields (``arch``, ``loop_bound``, ``max_states``,
-    ``deadline_seconds``, ``dedup``, ``strategy``, ``samples``,
+    ``deadline_seconds``, ``strategy``, ``samples``,
     ``sample_depth``, ``seed``) come from :class:`BaseSearchConfig`; only
     the promising-specific knobs live here.
     """
@@ -66,11 +65,6 @@ class ExploreConfig(BaseSearchConfig):
     #: Locations that must be kept in memory even if thread-private
     #: (e.g. locations observed by a litmus final-state condition).
     shared_locations: tuple[Loc, ...] = ()
-    #: Memoise certification (one sequential-graph build answers the
-    #: certified / promises / can-complete questions per configuration).
-    #: Disabling falls back to the seed's separate searches.  An ablation
-    #: of the ``"object"`` backend only: the packed backend always memoises.
-    cert_memo: bool = True
 
 
 @dataclass
@@ -97,7 +91,8 @@ class ExplorationStats(SearchStats):
     #: Certification invocations and how many were answered by the memo.
     cert_calls: int = 0
     cert_memo_hits: int = 0
-    #: Hash-consing statistics of the run's intern pool.
+    #: Id-interning statistics of the run's tables (0 on the object
+    #: backend, whose keys are the state snapshots themselves).
     interned_keys: int = 0
     intern_hits: int = 0
     #: Packed-backend step-table reuse: successor lists replayed from the
@@ -154,7 +149,7 @@ def _prepare(program: Program, config: ExploreConfig) -> tuple[Program, tuple[Lo
 def explore(program: Program, config: Optional[ExploreConfig] = None) -> ExplorationResult:
     """Enumerate the outcomes of ``program`` (promise-first).
 
-    Exhaustive under the ``dfs``/``bfs`` strategies; a sound sample of
+    Exhaustive under the ``dfs`` strategy; a sound sample of
     the outcome set under ``sample``.
     """
     config = config or ExploreConfig()
@@ -188,13 +183,12 @@ def explore(program: Program, config: Optional[ExploreConfig] = None) -> Explora
 
         return backend.promise_successors(packed, per_thread)
 
-    kernel = SearchKernel.for_backend(
-        backend,
+    kernel = SearchKernel(
         expand,
         strategy=strategy_for(config),
         max_states=config.max_states,
         deadline_seconds=config.deadline_seconds,
-        dedup=config.dedup,
+        key_fn=backend.key,
     )
     kernel.run([backend.initial()])
     stats.promise_states += kernel.stats.states
@@ -215,10 +209,10 @@ def explore_naive(program: Program, config: Optional[ExploreConfig] = None) -> E
     """Enumerate outcomes by interleaving *all* certified machine steps.
 
     Exponentially more states than :func:`explore`; used to validate the
-    promise-first strategy (both must return the same outcome set) and as
-    the baseline of the ablation benchmark.  Under ``sample`` this is the
-    litmus-style statistical runner: each walk is one random interleaving
-    of certified machine steps, run to a final (or stuck) state.
+    promise-first strategy (both must return the same outcome set).
+    Under ``sample`` this is the litmus-style statistical runner: each
+    walk is one random interleaving of certified machine steps, run to a
+    final (or stuck) state.
     """
     config = config or ExploreConfig()
     start = time.perf_counter()
@@ -240,13 +234,12 @@ def explore_naive(program: Program, config: Optional[ExploreConfig] = None) -> E
             stats.deadlocked_states += 1
         return successors
 
-    kernel = SearchKernel.for_backend(
-        backend,
+    kernel = SearchKernel(
         expand,
         strategy=strategy_for(config),
         max_states=config.max_states,
         deadline_seconds=config.deadline_seconds,
-        dedup=config.dedup,
+        key_fn=backend.key,
     )
     kernel.run([backend.initial()])
     stats.promise_states += kernel.stats.states

@@ -1,70 +1,28 @@
-"""Hash-consing (interning) tables for explorer state keys.
+"""Dense-id interning for the packed execution backend.
 
-The explorers dedup machine states, thread configurations, and
-certification arguments through hashable *canonical keys*
-(:meth:`TState.cache_key`, :meth:`Memory.cache_key`,
-:meth:`MachineState.cache_key`).  Structurally equal keys are produced
-over and over along different interleavings; interning collapses them to
-one shared representative so
-
-* the visited/memo tables hold one tuple per distinct state instead of
-  one per visit (memory), and
-* repeated lookups hash an already-seen object (the table's own key),
-  keeping dict probes cheap on the hot exploration paths.
-
-A pool is created per exploration run (not module-global) so a long
-sweep over thousands of litmus jobs never accumulates keys across
-tests; its counters feed the ``intern_hits`` / ``interned_keys`` fields
-of :class:`~repro.promising.exhaustive.ExplorationStats`.
+The packed backend (:mod:`repro.backend.packed`) replaces deep state
+snapshots — thread configurations, memories, register files — with
+small integers, so its visited sets and memo tables key on tuples of
+ids.  An :class:`IdInterner` is created per exploration run (not
+module-global) so a long sweep over thousands of litmus jobs never
+accumulates keys across tests; its counters feed the ``intern_hits`` /
+``interned_keys`` fields of
+:class:`~repro.promising.exhaustive.ExplorationStats`.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, TypeVar
-
-K = TypeVar("K", bound=Hashable)
-
-
-class Interner:
-    """One hash-consing table: maps every key to its first-seen equal."""
-
-    __slots__ = ("_table", "hits")
-
-    def __init__(self) -> None:
-        self._table: dict = {}
-        self.hits: int = 0
-
-    def intern(self, key: K) -> K:
-        """Return the canonical representative equal to ``key``.
-
-        The first occurrence becomes the representative; later equal
-        keys are counted as hits and dropped in favour of it.
-        """
-        canonical = self._table.setdefault(key, key)
-        if canonical is not key:
-            self.hits += 1
-        return canonical
-
-    @property
-    def unique(self) -> int:
-        """Number of distinct keys seen."""
-        return len(self._table)
-
-    def __len__(self) -> int:
-        return len(self._table)
+from typing import Hashable
 
 
 class IdInterner:
     """Maps hashable keys to *dense integer ids* with a side table of
     canonical decoded objects.
 
-    The packed execution backend's degenerate interner: where
-    :class:`Interner` canonicalises deep tuples, an :class:`IdInterner`
-    replaces them with small ints, so downstream visited/memo tables key
-    on tuples of ids whose ``cache_key()`` is the identity function.
-    ``objects[id]`` holds the object supplied at first intern — the
-    canonical decoded form the backend hands back to the reference step
-    functions.
+    Downstream visited/memo tables key on tuples of these ids, whose
+    ``cache_key()`` is the identity function.  ``objects[id]`` holds the
+    object supplied at first intern — the canonical decoded form the
+    backend hands back to the reference step functions.
     """
 
     __slots__ = ("_ids", "objects", "hits")
@@ -94,28 +52,4 @@ class IdInterner:
         return len(self.objects)
 
 
-class InternPool:
-    """The interners one exploration run shares across its tables.
-
-    Thread-state keys, memory keys, and whole-machine keys are interned
-    separately (they live in different tables and have different reuse
-    profiles).
-    """
-
-    __slots__ = ("tstates", "memories", "machines")
-
-    def __init__(self) -> None:
-        self.tstates = Interner()
-        self.memories = Interner()
-        self.machines = Interner()
-
-    @property
-    def hits(self) -> int:
-        return self.tstates.hits + self.memories.hits + self.machines.hits
-
-    @property
-    def unique(self) -> int:
-        return self.tstates.unique + self.memories.unique + self.machines.unique
-
-
-__all__ = ["IdInterner", "Interner", "InternPool"]
+__all__ = ["IdInterner"]

@@ -26,7 +26,6 @@ from .certification import (
     certified,
     find_and_certify,
 )
-from .intern import InternPool
 from .state import Memory, TState, initial_tstate
 from .steps import (
     ThreadStep,
@@ -107,21 +106,9 @@ class MachineState:
             )
         return self._key
 
-    def cache_key(self, pool: Optional[InternPool] = None) -> tuple:
-        """Canonical hashable identity, optionally hash-consed.
-
-        With a pool, the per-thread keys and the whole-state key are
-        interned so equal states across different interleavings share one
-        representative tuple (and the pool's counters record the reuse).
-        """
-        if pool is None:
-            return self.key()
-        if self._key is None:
-            self._key = (
-                tuple(pool.tstates.intern(t.key()) for t in self.threads),
-                pool.memories.intern(self.memory.cache_key()),
-            )
-        return pool.machines.intern(self._key)
+    def cache_key(self) -> tuple:
+        """Canonical hashable identity for visited sets (the cached :meth:`key`)."""
+        return self.key()
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, MachineState) and self.key() == other.key()

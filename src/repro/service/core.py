@@ -115,6 +115,30 @@ class ServiceError(Exception):
         self.retry_after = retry_after
 
 
+def _int_option(options: dict, name: str, default: Optional[int], limit: int) -> Optional[int]:
+    """``options[name]`` as an int in ``1..limit``; an absent optional stays ``None``."""
+    value = options.get(name, default)
+    if value is None and default is None:
+        return None
+    # bool is an int subclass: reject it so `"max_states": true` fails
+    # loudly instead of running with a budget of one.
+    if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= limit:
+        raise ServiceError(f"'{name}' must be an int in 1..{limit}")
+    return value
+
+
+def _seconds_option(
+    options: dict, name: str, default: Optional[float], limit: float
+) -> Optional[float]:
+    """``options[name]`` as seconds in ``(0, limit]``; ``None`` means unbounded."""
+    value = options.get(name, default)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= limit:
+        raise ServiceError(f"'{name}' must be a number of seconds in (0, {limit}]")
+    return float(value)
+
+
 class TokenBuckets:
     """Per-client token buckets: the /v1 explore quota ledger.
 
@@ -411,20 +435,9 @@ class ExplorationService:
         options = payload.get("options") or {}
         if not isinstance(options, dict):
             raise ServiceError("'options' must be an object")
-        loop_bound = options.get("loop_bound", 2)
-        if not isinstance(loop_bound, int) or not 1 <= loop_bound <= self.config.loop_bound_limit:
-            raise ServiceError(f"'loop_bound' must be an int in 1..{self.config.loop_bound_limit}")
-        timeout = options.get("timeout", self.config.default_timeout)
-        if timeout is not None:
-            if (
-                not isinstance(timeout, (int, float))
-                or timeout <= 0
-                or timeout > self.config.max_timeout
-            ):
-                raise ServiceError(
-                    f"'timeout' must be a number of seconds in (0, {self.config.max_timeout}]"
-                )
-            timeout = float(timeout)
+        config = self.config
+        loop_bound = _int_option(options, "loop_bound", 2, config.loop_bound_limit)
+        timeout = _seconds_option(options, "timeout", config.default_timeout, config.max_timeout)
         include_outcomes = options.get("include_outcomes", True)
         if not isinstance(include_outcomes, bool):
             raise ServiceError("'include_outcomes' must be a boolean")
@@ -432,24 +445,8 @@ class ExplorationService:
         # Unlike 'timeout' (which kills the worker process), the kernel
         # stops at the budget and returns what it found, explicitly
         # flagged truncated — a cheap, bounded answer, never a silent one.
-        deadline_seconds = options.get("deadline_seconds")
-        if deadline_seconds is not None:
-            if (
-                isinstance(deadline_seconds, bool)
-                or not isinstance(deadline_seconds, (int, float))
-                or deadline_seconds <= 0
-                or deadline_seconds > self.config.max_timeout
-            ):
-                raise ServiceError(
-                    "'deadline_seconds' must be a number of seconds in "
-                    f"(0, {self.config.max_timeout}]"
-                )
-            deadline_seconds = float(deadline_seconds)
-        max_states = options.get("max_states")
-        if max_states is not None and (
-            not isinstance(max_states, int) or not 1 <= max_states <= self.config.max_states_limit
-        ):
-            raise ServiceError(f"'max_states' must be an int in 1..{self.config.max_states_limit}")
+        deadline_seconds = _seconds_option(options, "deadline_seconds", None, config.max_timeout)
+        max_states = _int_option(options, "max_states", None, config.max_states_limit)
 
         from ..explore import BACKENDS, DEFAULT_BACKEND, DEFAULT_STRATEGY, STRATEGIES
 
@@ -458,24 +455,8 @@ class ExplorationService:
             raise ServiceError(
                 f"unknown strategy {strategy!r}; choose from {', '.join(STRATEGIES)}"
             )
-        # bool is an int subclass; reject it so `"samples": true` and
-        # friends fail loudly instead of running one walk.
-        samples = options.get("samples", 256)
-        if (
-            not isinstance(samples, int)
-            or isinstance(samples, bool)
-            or not 1 <= samples <= self.config.max_samples_limit
-        ):
-            raise ServiceError(f"'samples' must be an int in 1..{self.config.max_samples_limit}")
-        sample_depth = options.get("sample_depth", 4096)
-        if (
-            not isinstance(sample_depth, int)
-            or isinstance(sample_depth, bool)
-            or not 1 <= sample_depth <= self.config.max_sample_depth_limit
-        ):
-            raise ServiceError(
-                f"'sample_depth' must be an int in 1..{self.config.max_sample_depth_limit}"
-            )
+        samples = _int_option(options, "samples", 256, config.max_samples_limit)
+        sample_depth = _int_option(options, "sample_depth", 4096, config.max_sample_depth_limit)
         seed = options.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ServiceError("'seed' must be an integer")

@@ -60,8 +60,9 @@ def _arch(name: str) -> Arch:
 
 
 def _positive_int(text: str) -> int:
-    # Reject out-of-range sampling knobs at parse time (exit 2) instead
-    # of letting RandomWalks raise a traceback mid-exploration.
+    # Reject out-of-range loop bounds and sampling knobs at parse time
+    # (exit 2, matching the service's 400) instead of exploring with a
+    # meaningless unroll or letting RandomWalks raise mid-exploration.
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
@@ -80,7 +81,6 @@ def _search_kwargs(args: argparse.Namespace) -> dict:
     """Kernel-level knobs shared by every explorer config the CLI builds."""
     return dict(
         loop_bound=args.loop_bound,
-        dedup=not getattr(args, "no_dedup", False),
         strategy=getattr(args, "strategy", DEFAULT_STRATEGY),
         samples=getattr(args, "samples", 256),
         sample_depth=getattr(args, "sample_depth", 4096),
@@ -90,10 +90,7 @@ def _search_kwargs(args: argparse.Namespace) -> dict:
 
 
 def _explore_config(args: argparse.Namespace) -> ExploreConfig:
-    return ExploreConfig(
-        cert_memo=not getattr(args, "no_cert_memo", False),
-        **_search_kwargs(args),
-    )
+    return ExploreConfig(**_search_kwargs(args))
 
 
 def _flat_config(args: argparse.Namespace) -> "FlatConfig":
@@ -391,14 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--arch", type=_arch, default=Arch.ARM,
                         help="architecture: arm (default) or riscv; "
                              f"spellings: {', '.join(ARCH_ALIASES)}")
-    parser.add_argument("--loop-bound", type=int, default=2, help="loop unrolling bound")
-    parser.add_argument("--no-dedup", action="store_true",
-                        help="disable state deduplication (ablation; slower, same outcomes)")
-    parser.add_argument("--no-cert-memo", action="store_true",
-                        help="disable certification memoisation (ablation; "
-                             "applies only to --backend object, packed ignores it)")
+    parser.add_argument("--loop-bound", type=_positive_int, default=2,
+                        help="loop unrolling bound")
     parser.add_argument("--strategy", choices=STRATEGIES, default=DEFAULT_STRATEGY,
-                        help="search strategy: dfs/bfs enumerate exhaustively, "
+                        help="search strategy: dfs enumerates exhaustively, "
                              "sample runs seeded bounded random walks "
                              "(sound under-approximation for huge state spaces)")
     parser.add_argument("--samples", type=_positive_int, default=256,

@@ -341,16 +341,16 @@ def test_validate_backend_rejects_unknown():
         explore(get_test("MP").program, ExploreConfig(backend="turbo"))
 
 
-#: ``Job(test=get_test("MP"), model="promising").fingerprint()`` under the
-#: ``"object"`` default.  Results cached under that key must keep
-#: answering the same job whatever the default backend is.
-MP_PROMISING_FINGERPRINT = "b79c194396af26c3e7b67898b35b92938af58a07bea402451fefbc83279ab4a4"
+#: ``Job(test=get_test("MP"), model="promising").fingerprint()`` at
+#: fingerprint v3.  Results cached under that key must keep answering the
+#: same job whatever the default backend is.
+MP_PROMISING_FINGERPRINT = "adf9a09b3dd5aa362193dd338a278930696de9e48751d93b05de018f9d8e7d35"
 
 
 def test_default_backend_keeps_cache_fingerprints():
     # Outcomes are backend-independent, so the backend never enters the
     # fingerprint: the default, object and packed jobs share one key, and
-    # it is the key every earlier default job was cached under.
+    # it is the pinned v3 key.
     test = get_test("MP")
     default = Job(test=test, model="promising", arch=Arch.ARM)
     fingerprints = {default.fingerprint()}

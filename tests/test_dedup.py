@@ -1,96 +1,28 @@
-"""State deduplication, hash-consing, and certification memoisation.
+"""State keys and certification memoisation.
 
-The PR 3 reduction layer must be *semantics-preserving*: every knob
-(``dedup``, ``cert_memo``) changes only how much work the explorers do,
-never which outcomes they find.  The tests here pin that equivalence on a
-randomized sample of the cycle corpus, the stability/equality laws of the
-``cache_key`` methods, and the single-graph certification entry point
-against the seed's separate searches.
+Pins the stability/equality laws of the ``cache_key`` methods that the
+explorers' visited sets and memo tables key on, and the single-graph
+certification entry point (and its per-run memo) against the separate
+reference searches.
 """
-
-import random
 
 import pytest
 
-from repro.explore import BACKENDS
-from repro.flat.explorer import FlatConfig, explore_flat
 from repro.lang.kinds import Arch
-from repro.litmus import generate_cycle_battery, get_test
+from repro.litmus import get_test
 from repro.promising import (
     CertificationCache,
-    ExploreConfig,
-    Interner,
-    InternPool,
     MachineState,
     Memory,
     Msg,
     can_complete_without_promising,
     certify_thread,
-    explore,
-    explore_naive,
     find_and_certify,
     initial_tstate,
     machine_transitions,
     promise_step,
 )
 from repro.lang import DMB_SY, R, load, seq, store
-
-
-def corpus_sample(count=8, seed=3):
-    """Deterministic random sample of small cycle-corpus tests."""
-    tests = generate_cycle_battery(
-        families=("MP", "SB", "LB", "S", "R", "2+2W", "WRC", "CoRR", "SB-RFI"),
-        max_per_family=6,
-    )
-    return random.Random(seed).sample(tests, count)
-
-
-class TestDedupPreservesOutcomes:
-    # The dedup knob exists on both backends (the object backend's
-    # InternPool is its visited-set key), so each law runs on both.
-    @pytest.mark.parametrize("test", corpus_sample(), ids=lambda t: t.name)
-    def test_explore_dedup_off_is_identical(self, test):
-        locs = tuple(test.observable_locations())
-        for backend in BACKENDS:
-            base = dict(shared_locations=locs, backend=backend)
-            on = explore(test.program, ExploreConfig(**base))
-            off = explore(test.program, ExploreConfig(**base, dedup=False, cert_memo=False))
-            assert set(on.outcomes) == set(off.outcomes), (test.name, backend)
-            assert not on.stats.truncated and not off.stats.truncated
-
-    @pytest.mark.parametrize("test", corpus_sample(count=4, seed=5), ids=lambda t: t.name)
-    def test_naive_dedup_off_is_identical(self, test):
-        locs = tuple(test.observable_locations())
-        for backend in BACKENDS:
-            base = dict(shared_locations=locs, backend=backend)
-            on = explore_naive(test.program, ExploreConfig(**base))
-            off = explore_naive(test.program, ExploreConfig(**base, dedup=False, cert_memo=False))
-            assert set(on.outcomes) == set(off.outcomes), (test.name, backend)
-            # Without the visited set, symmetric interleavings are re-explored.
-            assert off.stats.promise_states >= on.stats.promise_states
-            assert on.stats.dedup_hits > 0 and off.stats.dedup_hits == 0
-
-    def test_flat_dedup_off_is_identical(self):
-        test = get_test("MP")
-        for backend in BACKENDS:
-            on = explore_flat(test.program, FlatConfig(backend=backend))
-            off = explore_flat(test.program, FlatConfig(dedup=False, backend=backend))
-            assert set(on.outcomes) == set(off.outcomes)
-            assert on.stats.dedup_hits > 0 and off.stats.dedup_hits == 0
-            assert off.stats.states > on.stats.states
-
-    def test_cert_memo_alone_preserves_outcomes(self):
-        # ``cert_memo`` is an ablation of the object backend; packed
-        # always memoises.
-        test = get_test("MP+dmb+addr")
-        locs = tuple(test.observable_locations())
-        base = dict(shared_locations=locs, backend="object")
-        memo = explore(test.program, ExploreConfig(**base, cert_memo=True))
-        plain = explore(test.program, ExploreConfig(**base, cert_memo=False))
-        assert set(memo.outcomes) == set(plain.outcomes)
-        # The memo path answers certified/promises/can-finish from one
-        # graph build: half the certification invocations.
-        assert memo.stats.cert_calls * 2 == plain.stats.cert_calls
 
 
 class TestCacheKeys:
@@ -124,28 +56,17 @@ class TestCacheKeys:
         assert empty.cache_key() == ()
         assert grown.cache_key() == (Msg(0, 1, 0),) and t == 1
 
-    def test_interner_shares_identity_and_counts_hits(self):
-        interner = Interner()
-        # Built dynamically so CPython cannot constant-fold them into one
-        # object before the interner ever sees them.
-        a = tuple([1, tuple([2, 3])])
-        b = tuple([1, tuple([2, 3])])
-        assert a is not b
-        assert interner.intern(a) is a
-        assert interner.intern(b) is a  # equal key collapses to the first
-        assert interner.hits == 1 and interner.unique == 1
-
-    def test_machine_state_cache_key_interns_equal_states(self):
+    def test_machine_state_cache_key_is_shared_by_equal_states(self):
         test = get_test("LB")
-        pool = InternPool()
         initial = MachineState.initial(test.program, Arch.ARM)
-        transitions = machine_transitions(initial)
         # Take the same transition twice via fresh state objects.
+        transitions = machine_transitions(initial)
         again = machine_transitions(initial)
-        key_a = transitions[0].state.cache_key(pool)
-        key_b = again[0].state.cache_key(pool)
-        assert key_a is key_b
-        assert pool.machines.hits >= 1
+        state_a, state_b = transitions[0].state, again[0].state
+        assert state_a is not state_b
+        assert state_a.cache_key() == state_b.cache_key()
+        assert state_a.cache_key() is state_a.cache_key()  # cached, not recomputed
+        assert state_a.cache_key() != initial.cache_key()
 
 
 class TestCertifyThread:

@@ -109,6 +109,10 @@ class TestNormalize:
             self.normalize({"test": "SB", "options": {"timeout": -1}})
         with pytest.raises(ServiceError):
             self.normalize({"test": "SB", "options": {"max_states": 0}})
+        # bool is an int subclass: a JSON `true` must not pass as 1.
+        for name in ("loop_bound", "max_states", "timeout"):
+            with pytest.raises(ServiceError):
+                self.normalize({"test": "SB", "options": {name: True}})
         # Over-limit timeouts are rejected like every other option, not
         # silently clamped.
         with pytest.raises(ServiceError):

@@ -57,6 +57,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "unknown arch 'bogus'" in err and all(name in err for name in ARCH_ALIASES)
 
+    def test_retired_and_out_of_range_flags_are_rejected(self):
+        # A retired flag must fail loudly rather than be silently ignored,
+        # and --loop-bound takes the service's lower bound of 1.
+        for argv in (
+            ["--strategy", "bfs", "run", "--test", "MP"],
+            ["--no-dedup", "run", "--test", "MP"],
+            ["--no-cert-memo", "run", "--test", "MP"],
+            ["--loop-bound", "0", "run", "--test", "MP"],
+            ["--loop-bound", "-1", "run", "--test", "MP"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+
     def test_arch_aliases_resolve_at_parse_time(self):
         args = build_parser().parse_args(["--arch", "RISC-V", "run"])
         assert args.arch is Arch.RISCV
