@@ -13,80 +13,51 @@ serializable :class:`Job`\\ s pushed through a scheduler with:
   all already-computed outcome sets;
 * structured JSON sweep reports (per-job timing, outcome counts,
   verdicts, mismatches, cache hit rate) for ``BENCH_*.json`` artifacts.
+
+Public names resolve on first use (see :mod:`repro._lazy`), so importing
+one submodule never drags in the pool, the sweep or the fuzz driver.
 """
 
-from .jobs import (
-    FINGERPRINT_VERSION,
-    MODELS,
-    STATUS_ERROR,
-    STATUS_OK,
-    STATUS_TIMEOUT,
-    Job,
-    JobResult,
-    JobTimeout,
-    execute_job,
-    result_from_json,
-    result_to_json,
-    timeouts_enforceable,
-)
-from .cache import LruResultCache, ResultCache, open_cache
-from .scheduler import BatchStats, WorkerPool, default_workers, run_jobs
-from .report import (
-    DEDUP_COUNTERS,
-    REPORT_SCHEMA_VERSION,
-    build_report,
-    describe_dedup,
-    find_mismatches,
-    outcome_set_digest,
-    write_report,
-)
-from .sweep import DEFAULT_MODELS, SweepResult, build_jobs, run_sweep
-from .fuzz import (
-    CONTAINMENT_PAIRS,
-    EQUALITY_PAIRS,
-    FUZZ_MODELS,
-    FuzzResult,
-    build_fuzz_jobs,
-    differential_mismatches,
-    run_fuzz,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FINGERPRINT_VERSION",
-    "MODELS",
-    "STATUS_ERROR",
-    "STATUS_OK",
-    "STATUS_TIMEOUT",
-    "Job",
-    "JobResult",
-    "JobTimeout",
-    "execute_job",
-    "result_from_json",
-    "result_to_json",
-    "timeouts_enforceable",
-    "LruResultCache",
-    "ResultCache",
-    "open_cache",
-    "BatchStats",
-    "WorkerPool",
-    "default_workers",
-    "run_jobs",
-    "DEDUP_COUNTERS",
-    "REPORT_SCHEMA_VERSION",
-    "build_report",
-    "describe_dedup",
-    "find_mismatches",
-    "outcome_set_digest",
-    "write_report",
-    "DEFAULT_MODELS",
-    "SweepResult",
-    "build_jobs",
-    "run_sweep",
-    "CONTAINMENT_PAIRS",
-    "EQUALITY_PAIRS",
-    "FUZZ_MODELS",
-    "FuzzResult",
-    "build_fuzz_jobs",
-    "differential_mismatches",
-    "run_fuzz",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".jobs": (
+            "FINGERPRINT_VERSION",
+            "MODELS",
+            "DEFAULT_MODELS",
+            "STATUS_ERROR",
+            "STATUS_OK",
+            "STATUS_TIMEOUT",
+            "Job",
+            "JobResult",
+            "JobTimeout",
+            "execute_job",
+            "result_from_json",
+            "result_to_json",
+            "timeouts_enforceable",
+        ),
+        ".cache": ("LruResultCache", "ResultCache", "open_cache"),
+        ".scheduler": ("BatchStats", "WorkerPool", "default_workers", "run_jobs"),
+        ".report": (
+            "DEDUP_COUNTERS",
+            "REPORT_SCHEMA_VERSION",
+            "build_report",
+            "describe_dedup",
+            "find_mismatches",
+            "outcome_set_digest",
+            "write_report",
+        ),
+        ".sweep": ("SweepResult", "build_jobs", "run_sweep"),
+        ".fuzz": (
+            "CONTAINMENT_PAIRS",
+            "EQUALITY_PAIRS",
+            "FUZZ_MODELS",
+            "FuzzResult",
+            "build_fuzz_jobs",
+            "differential_mismatches",
+            "run_fuzz",
+        ),
+    },
+)

@@ -18,15 +18,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import signal
+import sys
 import threading
 import time
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional
 
-from ..axiomatic.model import AxiomaticConfig, enumerate_axiomatic_outcomes
-from ..flat.explorer import FlatConfig, explore_flat
+from .._lazy import lazy_exports
 from ..lang.kinds import Arch
 from ..lang.program import Loc, Program, TId
 from ..obs import metrics
@@ -42,7 +42,9 @@ _JOB_SECONDS = metrics.histogram(
     "job_execute_seconds", "Wall time per executed job.", labels=("model",)
 )
 
-if TYPE_CHECKING:  # litmus imports harness (runner); keep ours lazy.
+if TYPE_CHECKING:  # the reference models load on first use; litmus imports harness.
+    from ..axiomatic.model import AxiomaticConfig
+    from ..flat.explorer import FlatConfig
     from ..litmus.test import LitmusTest, Verdict
 
 #: Bumped whenever the result format or the model semantics change in a way
@@ -57,6 +59,8 @@ FINGERPRINT_VERSION = 3
 
 #: Models a job can request.
 MODELS = ("promising", "promising-naive", "axiomatic", "flat")
+#: Models a sweep runs when none are named.
+DEFAULT_MODELS = ("promising", "axiomatic")
 
 STATUS_OK = "ok"
 STATUS_TIMEOUT = "timeout"
@@ -200,10 +204,14 @@ class Job:
         )
 
     def effective_axiomatic_config(self) -> AxiomaticConfig:
+        from ..axiomatic.model import AxiomaticConfig
+
         base = self.axiomatic_config or AxiomaticConfig()
         return dataclasses.replace(base, arch=self.arch)
 
     def effective_flat_config(self) -> FlatConfig:
+        from ..flat.explorer import FlatConfig
+
         base = self.flat_config or FlatConfig()
         return dataclasses.replace(base, arch=self.arch)
 
@@ -398,6 +406,34 @@ def execute_job(
     return result
 
 
+# The reference explorers are attributes of this module (``_explorer``
+# and tracers look them up here) imported on first use, so a promising
+# job never loads the axiomatic or Flat model.
+_, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "..axiomatic.model": ("enumerate_axiomatic_outcomes",),
+        "..flat.explorer": ("explore_flat",),
+    },
+)
+
+
+def _explorer(model: str) -> Callable[[Job], object]:
+    """The exploration entry point of ``model``, resolved (and for the
+    reference models imported) before the job's clock starts."""
+    # Read through the module object: a global lookup would not reach the
+    # module ``__getattr__`` that imports the reference models.
+    this = sys.modules[__name__]
+    if model == "axiomatic":
+        enumerate_outcomes = this.enumerate_axiomatic_outcomes
+        return lambda job: enumerate_outcomes(job.test.program, job.effective_axiomatic_config())
+    if model == "flat":
+        explore_model = this.explore_flat
+        return lambda job: explore_model(job.test.program, job.effective_flat_config())
+    runner = explore_naive if model == "promising-naive" else explore
+    return lambda job: runner(job.test.program, job.effective_explore_config())
+
+
 def _execute_job_inner(
     job: Job,
     timeout: Optional[float],
@@ -405,19 +441,11 @@ def _execute_job_inner(
     capture_errors: bool,
 ) -> JobResult:
     regs, locs = job.observables()
+    run_model = _explorer(job.model)
     start = time.perf_counter()
     try:
         with _deadline(timeout):
-            if job.model in ("promising", "promising-naive"):
-                cfg = job.effective_explore_config()
-                runner = explore_naive if job.model == "promising-naive" else explore
-                result = runner(job.test.program, cfg)
-            elif job.model == "axiomatic":
-                result = enumerate_axiomatic_outcomes(
-                    job.test.program, job.effective_axiomatic_config()
-                )
-            else:
-                result = explore_flat(job.test.program, job.effective_flat_config())
+            result = run_model(job)
     except JobTimeout as exc:
         return JobResult(
             name=job.test.name,
@@ -531,6 +559,7 @@ def result_from_json(data: Mapping) -> JobResult:
 __all__ = [
     "FINGERPRINT_VERSION",
     "MODELS",
+    "DEFAULT_MODELS",
     "STATUS_OK",
     "STATUS_TIMEOUT",
     "STATUS_ERROR",

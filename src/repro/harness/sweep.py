@@ -26,11 +26,9 @@ if TYPE_CHECKING:  # litmus imports harness (runner); keep ours lazy.
     from ..distrib.coordinator import DistribConfig
     from ..litmus.test import LitmusTest
 from .cache import ResultCache, open_cache
-from .jobs import Job, JobResult
+from .jobs import DEFAULT_MODELS, Job, JobResult
 from .report import build_report, describe_dedup, write_report
 from .scheduler import BatchStats, run_jobs
-
-DEFAULT_MODELS = ("promising", "axiomatic")
 
 
 @dataclass

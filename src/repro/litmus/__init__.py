@@ -1,107 +1,66 @@
-"""Litmus tests: conditions, catalogue, generators, runners."""
+"""Litmus tests: conditions, catalogue, generators, runners.
 
-from .conditions import (
-    And,
-    Condition,
-    MemEq,
-    Not,
-    Or,
-    RegEq,
-    TrueCond,
-    cond_and,
-    cond_or,
-    parse_condition,
-)
-from .test import LitmusTest, Verdict, allowed
-from .catalogue import all_tests, get_test, tests_by_name
-from .cycles import (
-    Coe,
-    Coi,
-    Cycle,
-    CycleError,
-    Edge,
-    FAMILIES,
-    Family,
-    Fre,
-    Fri,
-    Rfe,
-    Rfi,
-    Slot,
-    get_family,
-    po,
-)
-from .synth import (
-    attach_expected,
-    canonical_fingerprint,
-    generate_cycle_battery,
-    generate_cycles,
-    synthesize,
-)
-from .generators import (
-    Linkage,
-    generate_battery,
-    generate_lb,
-    generate_mp,
-    generate_s,
-    generate_sb,
-    generate_wrc,
-)
-from .runner import (
-    AgreementReport,
-    RunResult,
-    check_agreement,
-    run_axiomatic,
-    run_flat,
-    run_promising,
-)
+Public names resolve on first use (see :mod:`repro._lazy`).
+"""
 
-__all__ = [
-    "And",
-    "Condition",
-    "MemEq",
-    "Not",
-    "Or",
-    "RegEq",
-    "TrueCond",
-    "cond_and",
-    "cond_or",
-    "parse_condition",
-    "LitmusTest",
-    "Verdict",
-    "allowed",
-    "all_tests",
-    "get_test",
-    "tests_by_name",
-    "Coe",
-    "Coi",
-    "Cycle",
-    "CycleError",
-    "Edge",
-    "FAMILIES",
-    "Family",
-    "Fre",
-    "Fri",
-    "Rfe",
-    "Rfi",
-    "Slot",
-    "get_family",
-    "po",
-    "attach_expected",
-    "canonical_fingerprint",
-    "generate_cycle_battery",
-    "generate_cycles",
-    "synthesize",
-    "Linkage",
-    "generate_battery",
-    "generate_lb",
-    "generate_mp",
-    "generate_s",
-    "generate_sb",
-    "generate_wrc",
-    "AgreementReport",
-    "RunResult",
-    "check_agreement",
-    "run_axiomatic",
-    "run_flat",
-    "run_promising",
-]
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".conditions": (
+            "And",
+            "Condition",
+            "MemEq",
+            "Not",
+            "Or",
+            "RegEq",
+            "TrueCond",
+            "cond_and",
+            "cond_or",
+            "parse_condition",
+        ),
+        ".test": ("LitmusTest", "Verdict", "allowed"),
+        ".catalogue": ("all_tests", "get_test", "tests_by_name"),
+        ".cycles": (
+            "Coe",
+            "Coi",
+            "Cycle",
+            "CycleError",
+            "Edge",
+            "FAMILIES",
+            "Family",
+            "Fre",
+            "Fri",
+            "Rfe",
+            "Rfi",
+            "Slot",
+            "get_family",
+            "po",
+        ),
+        ".synth": (
+            "attach_expected",
+            "canonical_fingerprint",
+            "generate_cycle_battery",
+            "generate_cycles",
+            "synthesize",
+        ),
+        ".generators": (
+            "Linkage",
+            "generate_battery",
+            "generate_lb",
+            "generate_mp",
+            "generate_s",
+            "generate_sb",
+            "generate_wrc",
+        ),
+        ".runner": (
+            "AgreementReport",
+            "RunResult",
+            "check_agreement",
+            "run_axiomatic",
+            "run_flat",
+            "run_promising",
+        ),
+    },
+)

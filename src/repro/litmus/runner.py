@@ -14,16 +14,17 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from ..lang.kinds import Arch
 from ..outcomes import OutcomeSet
 from ..promising.exhaustive import ExploreConfig
-from ..axiomatic.model import AxiomaticConfig
 from ..harness.jobs import Job, JobResult, execute_job
-from ..harness.scheduler import run_jobs
-from ..harness.cache import ResultCache
 from .test import LitmusTest, Verdict
+
+if TYPE_CHECKING:  # a single promising run loads neither the axiomatic model nor the pool
+    from ..axiomatic.model import AxiomaticConfig
+    from ..harness.cache import ResultCache
 
 
 @dataclass
@@ -153,6 +154,8 @@ def check_agreement(
     per-job ``timeout`` turns a runaway test into a recorded disagreement
     instead of a hung sweep.
     """
+    from ..harness.scheduler import run_jobs
+
     tests = list(tests)  # tolerate iterator inputs: we traverse twice
     jobs: list[Job] = []
     for test in tests:

@@ -25,7 +25,6 @@ import json
 import logging
 import sys
 import time
-import uuid
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
@@ -42,6 +41,8 @@ _RECORD_ATTRS = frozenset(
 
 def new_request_id() -> str:
     """A short unique correlation id (12 hex chars — log-friendly)."""
+    import uuid  # only the service mints ids; a CLI run never does
+
     return uuid.uuid4().hex[:12]
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import importlib
 import math
 import platform
 import time
@@ -127,6 +128,18 @@ def _int_option(options: dict, name: str, default: Optional[int], limit: int) ->
     return value
 
 
+def seconds_in_range(value: object, limit: float) -> bool:
+    """Whether ``value`` is a number of seconds in ``(0, limit]``.
+
+    The one rule for every deadline the service accepts: request options,
+    the configured default, and ``serve --timeout``.  ``bool`` is an int
+    subclass and is refused, as is NaN (it compares false to everything).
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return 0 < value <= limit
+
+
 def _seconds_option(
     options: dict, name: str, default: Optional[float], limit: float
 ) -> Optional[float]:
@@ -134,7 +147,7 @@ def _seconds_option(
     value = options.get(name, default)
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= limit:
+    if not seconds_in_range(value, limit):
         raise ServiceError(f"'{name}' must be a number of seconds in (0, {limit}]")
     return float(value)
 
@@ -239,6 +252,16 @@ class ServiceConfig:
     #: Work-queue ledger mounted at ``/v1/queue/*`` (``memory://<name>``
     #: or ``sqlite:///path``; ``None`` = a fresh in-memory queue).
     queue_url: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        # A default outside the request rule would turn every request that
+        # names no timeout into a 400 blaming the client.
+        timeout = self.default_timeout
+        if timeout is not None and not seconds_in_range(timeout, self.max_timeout):
+            raise ValueError(
+                f"default_timeout must be a number of seconds in (0, {self.max_timeout}]"
+                f" or None, got {timeout!r}"
+            )
 
 
 @dataclass
@@ -345,6 +368,10 @@ class ExplorationService:
     # -- lifecycle -----------------------------------------------------------
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
+        # The execution backends (and the program compiler) load on an
+        # explorer's first call.  Import them before the pool forks, so no
+        # worker pays that inside its first cold compute, on the tail.
+        importlib.import_module("..backend", __package__)
         if self.config.workers > 1:
             self._pool = WorkerPool(self.config.workers)
         slots = self.config.max_concurrent_batches or max(1, self.config.workers)

@@ -1,6 +1,15 @@
-"""Command-line interface and model-comparison utilities."""
+"""Command-line interface and model-comparison utilities.
 
-from .compare import ModelComparison, compare_models, observables
-from .cli import build_parser, main
+Public names resolve on first use (see :mod:`repro._lazy`): the CLI never
+loads the comparison layer, which pulls in every model and the pool.
+"""
 
-__all__ = ["ModelComparison", "compare_models", "observables", "build_parser", "main"]
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".compare": ("ModelComparison", "compare_models", "observables"),
+        ".cli": ("build_parser", "main"),
+    },
+)

@@ -19,33 +19,27 @@ Sub-commands mirror how the paper's rmem-based tool is used:
 * ``work`` — join a distributed fleet: claim leased litmus jobs from a
   shared work backend (``sweep``/``fuzz`` ``--distributed`` enqueue
   them), execute them, and write results into the shared cache.
+
+Each sub-command imports what it runs inside its own body: a cold
+``run`` (one litmus test per process, as the paper's tool is used) loads
+the promising explorer and nothing of the harness pool, the sweep/fuzz
+drivers, the axiomatic or Flat models, the service or the fleet.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
-import tempfile
 from pathlib import Path
 
 from ..explore import BACKENDS, DEFAULT_BACKEND, DEFAULT_STRATEGY, STRATEGIES
-from ..harness import DEFAULT_MODELS, MODELS, run_fuzz, run_sweep
+from ..harness.jobs import DEFAULT_MODELS, MODELS
 from ..lang.kinds import ARCH_ALIASES, Arch, parse_arch
 from ..obs import LOG_FORMATS, configure_logging
-from ..litmus import (
-    all_tests,
-    attach_expected,
-    check_agreement,
-    generate_battery,
-    generate_cycle_battery,
-    get_test,
-    run_axiomatic,
-    run_promising,
-)
-from ..litmus.cycles import FAMILIES_BY_NAME
-from ..litmus.format import parse_litmus
-from ..promising import ExploreConfig, InteractiveSession
+from ..litmus import all_tests, get_test, run_axiomatic, run_promising
+from ..promising.exhaustive import ExploreConfig
 
 
 def _arch(name: str) -> Arch:
@@ -69,8 +63,32 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_seconds(text: str) -> float:
+    # A zero, negative or non-finite deadline would silently run with no
+    # deadline at all; refuse it at parse time (exit 2) instead.
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be a positive number of seconds")
+    return value
+
+
+def _serve_timeout(text: str) -> float:
+    # The service's own (0, max_timeout] rule: a default deadline outside
+    # it would answer every request that names no timeout with a 400.
+    from ..service.core import ServiceConfig, seconds_in_range
+
+    value = float(text)
+    if not seconds_in_range(value, ServiceConfig.max_timeout):
+        raise argparse.ArgumentTypeError(
+            f"must be a number of seconds in (0, {ServiceConfig.max_timeout}]"
+        )
+    return value
+
+
 def _load_test(args: argparse.Namespace):
     if args.file:
+        from ..litmus.format import parse_litmus
+
         text = Path(args.file).read_text()
         parsed = parse_litmus(text, unroll_bound=args.loop_bound)
         return parsed.test, parsed.arch
@@ -104,7 +122,7 @@ def _distrib_config(args: argparse.Namespace):
     if not getattr(args, "distributed", False):
         return None
     from ..distrib import DistribConfig
-    from ..harness import default_workers
+    from ..harness.scheduler import default_workers
 
     if getattr(args, "external_workers", False):
         fleet = 0
@@ -164,6 +182,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_interactive(args: argparse.Namespace) -> int:
+    from ..promising.interactive import InteractiveSession
+
     test, arch = _load_test(args)
     session = InteractiveSession(test.program, arch, loop_bound=args.loop_bound)
     print(f"interactive exploration of {test.name} ({arch}); commands: <n>, undo, reset, quit")
@@ -178,12 +198,20 @@ def cmd_interactive(args: argparse.Namespace) -> int:
             return 0
         if command in ("q", "quit", "exit"):
             return 0
+        # An undo at the start or an out-of-range step is a typo: say so
+        # and keep the session, rather than end it with a traceback.
         if command == "undo":
-            session.undo()
+            try:
+                session.undo()
+            except RuntimeError as exc:
+                print(exc)
         elif command == "reset":
             session.reset()
         elif command.isdigit():
-            session.step(int(command))
+            try:
+                session.step(int(command))
+            except IndexError as exc:
+                print(exc)
         else:
             print(f"unknown command {command!r}")
 
@@ -197,6 +225,8 @@ def cmd_catalogue(args: argparse.Namespace) -> int:
 
 
 def cmd_agreement(args: argparse.Namespace) -> int:
+    from ..litmus import check_agreement, generate_battery
+
     arch = args.arch
     tests = generate_battery(max_tests=args.max_tests)
     report = check_agreement(
@@ -212,6 +242,10 @@ def cmd_agreement(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from ..axiomatic import AxiomaticConfig
+    from ..harness.sweep import run_sweep
+    from ..litmus import generate_battery
+
     arch = args.arch
     models = tuple(m.strip() for m in args.models.split(",") if m.strip())
     unknown = [m for m in models if m not in MODELS]
@@ -224,8 +258,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     tests = generate_battery(max_tests=args.max_tests)
     if args.catalogue:
         tests = tests + [t for t in all_tests() if t.program.n_threads <= 3]
-    from ..axiomatic import AxiomaticConfig
-
     sweep = run_sweep(
         tests,
         models,
@@ -249,6 +281,13 @@ _ARCH_NAMES = tuple(ARCH_ALIASES)
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    import tempfile
+
+    from ..axiomatic import AxiomaticConfig
+    from ..harness.fuzz import run_fuzz
+    from ..litmus import attach_expected, generate_cycle_battery
+    from ..litmus.cycles import FAMILIES_BY_NAME
+
     models = tuple(m.strip() for m in args.models.split(",") if m.strip())
     unknown = [m for m in models if m not in MODELS]
     if unknown:
@@ -279,8 +318,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                 f"choose from {', '.join(FAMILIES_BY_NAME)}"
             )
             return 2
-    from ..axiomatic import AxiomaticConfig
-
     tests = generate_cycle_battery(
         families=families, max_tests=args.max_tests, max_per_family=args.max_per_family
     )
@@ -376,7 +413,7 @@ def _add_distrib_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--external-workers", action="store_true",
                         help="spawn no local workers; an external fleet "
                              "(promising-arm work) serves the queue")
-    parser.add_argument("--stall-timeout", type=float, default=None,
+    parser.add_argument("--stall-timeout", type=_positive_seconds, default=None,
                         help="abort if no distributed item completes for this long")
 
 
@@ -431,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     agree_parser.add_argument("--workers", type=int, default=1,
                               help="worker processes (0 = one per CPU)")
     agree_parser.add_argument("--cache-dir", default=None, help="persistent result cache directory")
-    agree_parser.add_argument("--timeout", type=float, default=None,
+    agree_parser.add_argument("--timeout", type=_positive_seconds, default=None,
                               help="per-job timeout in seconds")
     agree_parser.set_defaults(func=cmd_agreement)
 
@@ -445,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--workers", type=int, default=1,
                               help="worker processes (0 = one per CPU)")
     sweep_parser.add_argument("--cache-dir", default=None, help="persistent result cache directory")
-    sweep_parser.add_argument("--timeout", type=float, default=None,
+    sweep_parser.add_argument("--timeout", type=_positive_seconds, default=None,
                               help="per-job timeout in seconds")
     sweep_parser.add_argument("--report", default=None,
                               help="write a JSON sweep report to this path")
@@ -472,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument("--workers", type=int, default=1,
                              help="worker processes (0 = one per CPU)")
     fuzz_parser.add_argument("--cache-dir", default=None, help="persistent result cache directory")
-    fuzz_parser.add_argument("--timeout", type=float, default=None,
+    fuzz_parser.add_argument("--timeout", type=_positive_seconds, default=None,
                              help="per-job timeout in seconds")
     fuzz_parser.add_argument("--report", default=None, help="write a JSON fuzz report to this path")
     fuzz_parser.add_argument("--expected", action="store_true",
@@ -520,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="most cold jobs dispatched in one micro-batch")
     serve_parser.add_argument("--batch-delay-ms", type=float, default=10.0,
                               help="micro-batch accumulation window in milliseconds")
-    serve_parser.add_argument("--timeout", type=float, default=60.0,
+    serve_parser.add_argument("--timeout", type=_serve_timeout, default=60.0,
                               help="default per-job deadline in seconds")
     serve_parser.add_argument("--max-pending-jobs", type=int, default=1024,
                               help="admission control: answer 429 + Retry-After once this "

@@ -137,6 +137,17 @@ class TestNormalize:
         request = self.normalize({"test": "SB", "options": {"deadline_seconds": 2}})
         assert request.deadline_seconds == 2.0
 
+    def test_default_timeout_follows_the_request_rule(self):
+        # A configured default outside (0, max_timeout] would answer every
+        # request that names no timeout with a 400; refuse the config.
+        for bad in (0.0, -1.0, 600.5, float("nan"), True):
+            with pytest.raises(ValueError):
+                ServiceConfig(default_timeout=bad)
+        with pytest.raises(ValueError):
+            ServiceConfig(default_timeout=30.0, max_timeout=10.0)
+        assert self.normalize({"test": "MP"}, default_timeout=600.0).timeout == 600.0
+        assert self.normalize({"test": "MP"}, default_timeout=None).timeout is None
+
     def test_deadline_shapes_job_fingerprints(self):
         # The deadline enters the search config, so deadline-tier answers
         # never collide with exhaustive ones in any cache layer.

@@ -1,5 +1,7 @@
 """Tests for the comparison utilities and the command-line interface."""
 
+import io
+
 import pytest
 
 from repro.lang.kinds import ARCH_ALIASES, Arch
@@ -66,10 +68,25 @@ class TestCli:
             ["--no-cert-memo", "run", "--test", "MP"],
             ["--loop-bound", "0", "run", "--test", "MP"],
             ["--loop-bound", "-1", "run", "--test", "MP"],
+            # A non-positive deadline would silently mean "no deadline".
+            ["agreement", "--max-tests", "1", "--timeout", "0"],
+            ["sweep", "--max-tests", "1", "--timeout", "-1"],
+            ["fuzz", "--max-per-family", "1", "--timeout", "0"],
+            ["fuzz", "--max-per-family", "1", "--timeout", "nan"],
+            ["sweep", "--max-tests", "1", "--distributed", "--stall-timeout", "0"],
+            ["fuzz", "--max-per-family", "1", "--distributed", "--stall-timeout", "-5"],
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
+        # serve's default deadline takes the service's own (0, 600] rule;
+        # parsed only, so a regression cannot start a server here.
+        for timeout in ("0", "-1", "600.5", "inf"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["serve", "--timeout", timeout])
+            assert exc.value.code == 2, timeout
+        assert build_parser().parse_args(["serve", "--timeout", "600"]).timeout == 600.0
+        assert build_parser().parse_args(["sweep", "--timeout", "0.5"]).timeout == 0.5
 
     def test_arch_aliases_resolve_at_parse_time(self):
         args = build_parser().parse_args(["--arch", "RISC-V", "run"])
@@ -89,6 +106,29 @@ class TestCli:
         assert main(["agreement", "--max-tests", "6"]) == 0
         out = capsys.readouterr().out
         assert "agree" in out
+
+    def test_interactive_command(self, monkeypatch, capsys):
+        # Scripted stdin: take transition 0 (T0's store), undo it, quit.
+        monkeypatch.setattr("sys.stdin", io.StringIO("0\nundo\nq\n"))
+        assert main(["interactive", "--test", "MP"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("interactive exploration of MP (ARM)")
+        menus = out.split("enabled transitions:")[1:]
+        assert len(menus) == 3  # initial, after the step, after the undo
+        assert "[0] T0: store [0] := 1 @t1" in menus[0]
+        assert "[3] T1: r1 := load [8] = 0 @t0" in menus[0]
+        assert "memory: [1:<[0]:=1>@T0]" in out
+        assert "[0] T0: store [8] := 1 @t2" in menus[1]
+        assert menus[2].split("step>")[0] == menus[0].split("step>")[0]
+
+    def test_interactive_bad_commands_keep_the_session(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("undo\n99\nwat\n0\n"))
+        assert main(["interactive", "--test", "MP"]) == 0
+        out = capsys.readouterr().out
+        assert "nothing to undo" in out
+        assert "transition index 99 out of range (0..3)" in out
+        assert "unknown command 'wat'" in out
+        assert "memory: [1:<[0]:=1>@T0]" in out  # the session went on
 
     def test_run_litmus_file(self, tmp_path, capsys):
         litmus = tmp_path / "mp.litmus"
