@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
+from ..explore.config import BaseSearchConfig
 from ..lang.kinds import Arch
 from ..lang.program import Loc, Program, TId
 from ..lang.expr import Value
@@ -43,7 +44,7 @@ class AxiomaticConfig:
     """Configuration of the axiomatic enumerator."""
 
     arch: Arch = Arch.ARM
-    loop_bound: int = 2
+    loop_bound: int = BaseSearchConfig.loop_bound
     #: Cap on interpreter states per thread unfolding.
     max_preexec_states: int = 100_000
     #: Cap on candidate executions examined (safety valve).

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
+from ..explore.config import BaseSearchConfig
 from ..lang.ast import (
     Assign,
     Fence,
@@ -247,7 +248,7 @@ def enumerate_preexecutions(
     tid: TId,
     domains: ValueDomains,
     initial: Mapping[Loc, Value],
-    loop_bound: int = 2,
+    loop_bound: int = BaseSearchConfig.loop_bound,
     max_states: int = 100_000,
 ) -> list[PreExecution]:
     """Enumerate the pre-executions of one thread.
@@ -268,7 +269,7 @@ def enumerate_preexecutions(
 
 def infer_value_domains(
     program: Program,
-    loop_bound: int = 2,
+    loop_bound: int = BaseSearchConfig.loop_bound,
     max_iterations: int = 4,
     max_states: int = 100_000,
 ) -> dict[Loc, frozenset[Value]]:

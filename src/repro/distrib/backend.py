@@ -36,6 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Protocol, Union, runtime_checkable
 
+from ..bounds import POSITIVE_INT
 from ..obs import metrics
 
 #: Lifecycle of a work item.
@@ -174,9 +175,7 @@ class MemoryBackend:
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        self.max_attempts = max_attempts
+        self.max_attempts = POSITIVE_INT.check(max_attempts, "max_attempts")
         self.clock = clock
         self._lock = threading.Lock()
         self._items: dict[str, dict] = {}

@@ -28,6 +28,7 @@ import base64
 import urllib.parse
 from typing import Iterable, Mapping, Optional
 
+from ..bounds import POSITIVE_NUMBER
 from ..obs import metrics
 from .backend import Claim, ItemView, WorkBackend, WorkerInfo
 
@@ -74,6 +75,11 @@ def _field(payload: dict, key: str, kinds, *, default=_MISSING):
     return value
 
 
+def _lease(payload: dict) -> float:
+    # A zero, negative or NaN lease would hand out a claim already expired.
+    return POSITIVE_NUMBER.check(_field(payload, "lease_seconds", (int, float)), "lease_seconds")
+
+
 class QueueHttpApi:
     """Server-side adapter: ``/v1/queue/<op>`` JSON bodies → a delegate ledger.
 
@@ -117,9 +123,7 @@ class QueueHttpApi:
         return ("applied" if enqueued else "refused"), {"enqueued": enqueued}
 
     def _op_claim(self, p: dict) -> tuple[str, dict]:
-        claim = self.backend.claim(
-            _field(p, "worker_id", str), float(_field(p, "lease_seconds", (int, float)))
-        )
+        claim = self.backend.claim(_field(p, "worker_id", str), _lease(p))
         if claim is None:
             return "empty", {"claim": None}
         return "granted", {
@@ -137,7 +141,7 @@ class QueueHttpApi:
             _field(p, "item_id", str),
             _field(p, "worker_id", str),
             _field(p, "token", int),
-            float(_field(p, "lease_seconds", (int, float))),
+            _lease(p),
         )
         return ("applied" if extended else "refused"), {"extended": extended}
 

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from contextlib import contextmanager
 
+from ..bounds import POSITIVE_INT
 from .backend import (
     DEFAULT_MAX_ATTEMPTS,
     ITEM_STATUSES,
@@ -79,10 +80,8 @@ class SqliteBackend:
         clock: Callable[[], float] = time.time,
         busy_timeout: float = 30.0,
     ) -> None:
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
         self.path = Path(path)
-        self.max_attempts = max_attempts
+        self.max_attempts = POSITIVE_INT.check(max_attempts, "max_attempts")
         self.clock = clock
         self.busy_timeout = busy_timeout
         self._local = threading.local()

@@ -15,7 +15,11 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
+from ..bounds import POSITIVE_INT, POSITIVE_NUMBER, Bound, declared, option
 from ..lang.kinds import Arch
+
+#: Frontier disciplines, implemented in :mod:`repro.explore.strategy`.
+STRATEGIES = ("dfs", "sample")
 
 #: Strategy applied when a config does not name one.
 DEFAULT_STRATEGY = "dfs"
@@ -39,34 +43,37 @@ DEFAULT_BACKEND = "packed"
 
 @dataclass
 class BaseSearchConfig:
-    """Fields every kernel-driven explorer shares."""
+    """Fields every kernel-driven explorer shares; each search option is
+    declared here once, with its default, bound and help (:data:`SEARCH_OPTIONS`)."""
 
     #: Architecture variant (ARM or RISC-V).
     arch: Arch = Arch.ARM
-    #: Loop unrolling bound applied when the program contains loops.
-    loop_bound: int = 2
-    #: Cap on kernel-visited states (safety valve; exploration is reported
-    #: as truncated when hit).  Concrete configs override the default.
-    max_states: int = 1_000_000
-    #: Wall-clock budget for one exploration, in seconds (``None`` =
-    #: unbounded).  Measured with ``time.monotonic`` so NTP adjustments
-    #: can never fire it early or late; hitting it marks the run truncated.
-    deadline_seconds: Optional[float] = None
-    #: Frontier discipline: ``"dfs"`` (default; exhaustive, with a
-    #: visited set over the backend's state keys) or ``"sample"`` —
-    #: seeded bounded random walks with restart, a sound
-    #: under-approximation of the outcome set.
-    strategy: str = DEFAULT_STRATEGY
-    #: Number of random walks a ``sample`` run performs.
-    samples: int = 256
-    #: Step bound of one random walk before it restarts.
-    sample_depth: int = 4096
-    #: PRNG seed of a ``sample`` run (same seed ⇒ same outcome set).
-    seed: int = 0
-    #: Execution backend: ``"packed"`` (default; compiled program +
-    #: integer-tuple states) or ``"object"`` (the reference oracle).
-    #: Exhaustive runs produce identical outcome sets on either.
-    backend: str = DEFAULT_BACKEND
+    loop_bound: int = option(2, POSITIVE_INT, flag=True, help="loop unrolling bound")
+    #: Hitting it truncates the run; concrete configs override the default.
+    max_states: int = option(1_000_000, POSITIVE_INT, help="cap on visited states")
+    #: Hitting it truncates the run; ``time.monotonic``, so NTP never fires it early.
+    deadline_seconds: Optional[float] = option(None, POSITIVE_NUMBER, help="budget in seconds")
+    strategy: str = option(
+        DEFAULT_STRATEGY,
+        Bound(str, choices=STRATEGIES),
+        flag=True,
+        help="dfs enumerates exhaustively; sample runs seeded bounded random walks, "
+        "a sound under-approximation for huge state spaces",
+    )
+    samples: int = option(256, POSITIVE_INT, flag=True, help="random walks of a sample run")
+    sample_depth: int = option(
+        4096, POSITIVE_INT, flag=True, help="step bound of one random walk before it restarts"
+    )
+    seed: int = option(
+        0, Bound(int), flag=True, help="PRNG seed of a sample run (same seed, same outcomes)"
+    )
+    backend: str = option(
+        DEFAULT_BACKEND,
+        Bound(str, choices=BACKENDS),
+        flag=True,
+        help="packed compiles the program once and explores integer-tuple states; "
+        "object walks the reference dataclass states (same outcomes, slower)",
+    )
 
     def for_arch(self, arch: Arch):
         # ``dataclasses.replace`` rather than a field-by-field copy, so a
@@ -82,4 +89,16 @@ class BaseSearchConfig:
         return is_exhaustive(self.strategy)
 
 
-__all__ = ["BACKENDS", "BaseSearchConfig", "DEFAULT_BACKEND", "DEFAULT_STRATEGY"]
+#: The declared search options (dataclass fields): each is a service
+#: request option and, where its ``flag`` metadata is set, a CLI flag.
+SEARCH_OPTIONS = declared(BaseSearchConfig)
+
+
+__all__ = [
+    "BACKENDS",
+    "BaseSearchConfig",
+    "DEFAULT_BACKEND",
+    "DEFAULT_STRATEGY",
+    "SEARCH_OPTIONS",
+    "STRATEGIES",
+]

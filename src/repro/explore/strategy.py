@@ -20,6 +20,9 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Sequence
 
+from ..bounds import POSITIVE_INT
+from .config import STRATEGIES, BaseSearchConfig
+
 if TYPE_CHECKING:
     from .kernel import SearchKernel
 
@@ -72,13 +75,9 @@ class RandomWalks(Strategy):
     name = "sample"
     exhaustive = False
 
-    def __init__(self, samples: int = 256, depth: int = 4096, seed: int = 0) -> None:
-        if samples < 1:
-            raise ValueError("samples must be at least 1")
-        if depth < 1:
-            raise ValueError("sample depth must be at least 1")
-        self.samples = samples
-        self.depth = depth
+    def __init__(self, samples: int, depth: int, seed: int) -> None:
+        self.samples = POSITIVE_INT.check(samples, "samples")
+        self.depth = POSITIVE_INT.check(depth, "depth")
         self.seed = seed
 
     def describe(self) -> str:
@@ -131,17 +130,17 @@ class RandomWalks(Strategy):
                 stats.coverage_estimate = round(len(seen) / stats.states, 6)
 
 
-#: Registry of strategy names accepted by configs, the CLI, and the service.
-STRATEGIES = ("dfs", "sample")
-
-
 def is_exhaustive(name: str) -> bool:
     """Whether ``name`` is an exhaustive (full-enumeration) strategy."""
     return name == "dfs"
 
 
 def make_strategy(
-    name: str, *, samples: int = 256, sample_depth: int = 4096, seed: int = 0
+    name: str,
+    *,
+    samples: int = BaseSearchConfig.samples,
+    sample_depth: int = BaseSearchConfig.sample_depth,
+    seed: int = BaseSearchConfig.seed,
 ) -> Strategy:
     """Instantiate a strategy by name (the config-facing constructor)."""
     if name == "dfs":

@@ -21,6 +21,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Optional, Union
 
+from ..bounds import POSITIVE_INT
 from ..obs import metrics
 from ..outcomes import OutcomeSet
 from .jobs import Job, JobResult, STATUS_OK, result_from_json, result_to_json
@@ -151,9 +152,7 @@ class LruResultCache:
     """
 
     def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self.capacity = capacity
+        self.capacity = POSITIVE_INT.check(capacity, "capacity")
         self._entries: "OrderedDict[str, JobResult]" = OrderedDict()
         self.hits = 0
         self.misses = 0

@@ -14,6 +14,7 @@ its instrumentation.  See the sibling modules:
 
 from .logging import (
     LOG_FORMATS,
+    LOG_LEVELS,
     JsonFormatter,
     TextFormatter,
     bind,
@@ -43,6 +44,7 @@ from .tracing import PhaseAccumulator, Span, current_span_path, span
 __all__ = [
     "DEFAULT_SECONDS_BUCKETS",
     "LOG_FORMATS",
+    "LOG_LEVELS",
     "OBS_DISABLED_ENV",
     "Counter",
     "Gauge",

@@ -110,6 +110,8 @@ class TextFormatter(logging.Formatter):
 
 
 LOG_FORMATS = ("text", "json")
+#: The verbosities ``--log-level`` offers, most verbose first.
+LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
 
 
 def configure_logging(
@@ -169,6 +171,7 @@ def sanitize_request_id(raw: Optional[str], limit: int = 64) -> Optional[str]:
 
 __all__ = [
     "LOG_FORMATS",
+    "LOG_LEVELS",
     "ROOT_LOGGER",
     "JsonFormatter",
     "TextFormatter",

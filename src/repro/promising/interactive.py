@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from ..explore.config import BaseSearchConfig
 from ..lang.kinds import Arch
 from ..lang.program import Program
 from ..lang.transform import unroll_program
@@ -48,7 +49,7 @@ class InteractiveSession:
         self,
         program: Program,
         arch: Arch = Arch.ARM,
-        loop_bound: int = 2,
+        loop_bound: int = BaseSearchConfig.loop_bound,
         cert_fuel: int = DEFAULT_FUEL,
     ) -> None:
         prepared = program
@@ -146,7 +147,7 @@ def find_witness(
     program: Program,
     predicate: Callable[[Outcome], bool],
     arch: Arch = Arch.ARM,
-    loop_bound: int = 2,
+    loop_bound: int = BaseSearchConfig.loop_bound,
     cert_fuel: int = DEFAULT_FUEL,
     max_states: int = 200_000,
 ) -> Optional[list[TraceEntry]]:

@@ -16,9 +16,6 @@ every ``promising-arm work`` fleet member on an HTTP queue.  Pure stdlib
 * **stale-connection recovery** — a parked connection the server closed
   while idle fails fast on reuse and is transparently replaced, never
   surfacing to the caller.
-
-``api_prefix=""`` produces a legacy (unversioned) client; the server
-still answers those paths, tagged with a ``Deprecation`` header.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ import threading
 import time
 from typing import Optional, Sequence, Union
 
-#: Version prefix every endpoint helper targets by default.
+#: Version prefix of every endpoint (unversioned paths answer 404).
 API_PREFIX = "/v1"
 
 #: Statuses that mean "try again later", not "you are wrong".
@@ -72,7 +69,6 @@ class ServiceClient:
         port: int = 8765,
         timeout: float = 120.0,
         *,
-        api_prefix: str = API_PREFIX,
         client_id: Optional[str] = None,
         pool_size: int = 8,
         max_retries: int = 4,
@@ -84,7 +80,6 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.api_prefix = api_prefix
         #: Sent as ``X-Client-Id`` — the identity the server's per-client
         #: token quotas key on (``None`` = the shared anonymous bucket).
         self.client_id = client_id
@@ -235,9 +230,6 @@ class ServiceClient:
             )
         return data
 
-    def _path(self, endpoint: str) -> str:
-        return f"{self.api_prefix}{endpoint}"
-
     def wait_until_ready(self, deadline: float = 30.0, interval: float = 0.05) -> dict:
         """Poll ``/healthz`` until the service answers (or raise)."""
         end = time.monotonic() + deadline
@@ -256,14 +248,14 @@ class ServiceClient:
 
     # -- endpoints -----------------------------------------------------------
     def healthz(self) -> dict:
-        return self._request("GET", self._path("/healthz"), retry=False)
+        return self._request("GET", f"{API_PREFIX}/healthz", retry=False)
 
     def stats(self) -> dict:
-        return self._request("GET", self._path("/stats"))
+        return self._request("GET", f"{API_PREFIX}/stats")
 
     def metrics_text(self) -> str:
         """The raw ``GET /metrics`` payload (Prometheus text format)."""
-        status, _headers, raw = self._raw_request("GET", self._path("/metrics"))
+        status, _headers, raw = self._raw_request("GET", f"{API_PREFIX}/metrics")
         if status >= 400:
             raise ServiceClientError(f"HTTP {status}", status=status)
         return raw.decode()
@@ -298,17 +290,17 @@ class ServiceClient:
         if options is not None:
             payload["options"] = options
         return self._request(
-            "POST", self._path("/explore"), payload, request_id=request_id, retry=retry
+            "POST", f"{API_PREFIX}/explore", payload, request_id=request_id, retry=retry
         )
 
     def queue_op(self, op: str, payload: dict, *, retry: bool = True) -> dict:
         """One ``POST /v1/queue/<op>`` — the fleet protocol's wire call."""
-        return self._request("POST", self._path(f"/queue/{op}"), payload, retry=retry)
+        return self._request("POST", f"{API_PREFIX}/queue/{op}", payload, retry=retry)
 
     def shutdown(self) -> dict:
         """Ask the service to drain and stop; tolerates the connection dropping."""
         try:
-            return self._request("POST", self._path("/shutdown"), retry=False)
+            return self._request("POST", f"{API_PREFIX}/shutdown", retry=False)
         except ServiceClientError as exc:
             if exc.status:  # a real HTTP rejection, not a dropped connection
                 raise

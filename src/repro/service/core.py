@@ -38,6 +38,18 @@ from typing import Callable, Optional, Sequence
 
 from .. import __version__
 from ..axiomatic.model import AxiomaticConfig
+from ..bounds import (
+    BOOLEAN,
+    NON_NEGATIVE_INT,
+    NON_NEGATIVE_NUMBER,
+    POSITIVE_INT,
+    POSITIVE_NUMBER,
+    Bound,
+    BoundsError,
+    declared,
+    option,
+)
+from ..explore.config import SEARCH_OPTIONS
 from ..flat.explorer import FlatConfig
 from ..harness.cache import CACHE_REQUESTS, LruResultCache, open_cache
 from ..harness.jobs import (
@@ -116,42 +128,6 @@ class ServiceError(Exception):
         self.retry_after = retry_after
 
 
-def _int_option(options: dict, name: str, default: Optional[int], limit: int) -> Optional[int]:
-    """``options[name]`` as an int in ``1..limit``; an absent optional stays ``None``."""
-    value = options.get(name, default)
-    if value is None and default is None:
-        return None
-    # bool is an int subclass: reject it so `"max_states": true` fails
-    # loudly instead of running with a budget of one.
-    if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= limit:
-        raise ServiceError(f"'{name}' must be an int in 1..{limit}")
-    return value
-
-
-def seconds_in_range(value: object, limit: float) -> bool:
-    """Whether ``value`` is a number of seconds in ``(0, limit]``.
-
-    The one rule for every deadline the service accepts: request options,
-    the configured default, and ``serve --timeout``.  ``bool`` is an int
-    subclass and is refused, as is NaN (it compares false to everything).
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return 0 < value <= limit
-
-
-def _seconds_option(
-    options: dict, name: str, default: Optional[float], limit: float
-) -> Optional[float]:
-    """``options[name]`` as seconds in ``(0, limit]``; ``None`` means unbounded."""
-    value = options.get(name, default)
-    if value is None:
-        return None
-    if not seconds_in_range(value, limit):
-        raise ServiceError(f"'{name}' must be a number of seconds in (0, {limit}]")
-    return float(value)
-
-
 class TokenBuckets:
     """Per-client token buckets: the /v1 explore quota ledger.
 
@@ -169,12 +145,8 @@ class TokenBuckets:
         refill_per_second: float,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if capacity <= 0:
-            raise ValueError("quota capacity must be positive")
-        if refill_per_second <= 0:
-            raise ValueError("quota refill rate must be positive")
-        self.capacity = float(capacity)
-        self.refill_per_second = float(refill_per_second)
+        self.capacity = POSITIVE_NUMBER.check(capacity, "capacity")
+        self.refill_per_second = POSITIVE_NUMBER.check(refill_per_second, "refill_per_second")
         self.clock = clock
         self._buckets: dict[str, tuple[float, float]] = {}
 
@@ -196,72 +168,97 @@ class TokenBuckets:
 
 @dataclass
 class ServiceConfig:
-    """Tunables of one :class:`ExplorationService` instance."""
+    """Tunables of one :class:`ExplorationService`; every bounded field is
+    checked on construction, so a config built in code is refused like a flag."""
 
     #: Resident worker processes.  ``<= 1`` runs jobs inline on an
     #: executor thread (no pool, no enforceable per-job deadline) — the
     #: lightweight mode used by unit tests and tiny deployments.
-    workers: int = 2
+    workers: int = option(2, NON_NEGATIVE_INT)
     #: Cold jobs are gathered for up to this long (seconds) or until
     #: ``batch_max_size`` of them are waiting, then dispatched together.
-    batch_max_delay: float = 0.01
-    batch_max_size: int = 16
+    batch_max_delay: float = option(0.01, NON_NEGATIVE_NUMBER)
+    batch_max_size: int = option(16, POSITIVE_INT)
     #: Micro-batches allowed to execute concurrently (``0`` = one per
     #: worker).  More than one prevents head-of-line blocking: a fast
     #: request arriving behind a slow batch runs on an idle worker
     #: instead of waiting the slow batch out.
-    max_concurrent_batches: int = 0
+    max_concurrent_batches: int = option(0, NON_NEGATIVE_INT)
     #: Capacity of the process-resident LRU result layer.
-    lru_capacity: int = 4096
+    lru_capacity: int = option(4096, POSITIVE_INT)
     #: Directory of the persistent result cache (``None`` = LRU only).
     cache_dir: Optional[str] = None
     #: Per-job deadline applied when a request does not name one.
     default_timeout: Optional[float] = 60.0
     #: Hard ceiling on any requested per-job deadline.
-    max_timeout: float = 600.0
+    max_timeout: float = option(600.0, POSITIVE_NUMBER)
     #: Hard ceiling on any requested loop-unrolling bound.
-    loop_bound_limit: int = 4
+    loop_bound_limit: int = option(4, POSITIVE_INT)
     #: Hard ceiling on any requested ``max_states`` budget.
-    max_states_limit: int = 5_000_000
+    max_states_limit: int = option(5_000_000, POSITIVE_INT)
     #: Hard ceilings on the random walks one ``sample``-strategy job runs
     #: and on the step bound of each walk.
-    max_samples_limit: int = 65_536
-    max_sample_depth_limit: int = 65_536
+    max_samples_limit: int = option(65_536, POSITIVE_INT)
+    max_sample_depth_limit: int = option(65_536, POSITIVE_INT)
     #: Largest accepted litmus source, in bytes.
-    max_source_bytes: int = 65_536
+    max_source_bytes: int = option(65_536, POSITIVE_INT)
     #: Most jobs (models) a single request may expand into.
-    max_jobs_per_request: int = 8
+    max_jobs_per_request: int = option(8, POSITIVE_INT)
     #: Latencies kept for the /stats percentiles (ring buffer).
-    latency_window: int = 4096
+    latency_window: int = option(4096, POSITIVE_INT)
     #: Admission control: once this many jobs are queued or in flight,
     #: new explore requests get ``429 + Retry-After`` instead of piling
     #: onto the dispatch queue (``0`` disables the check).
-    max_pending_jobs: int = 1024
+    max_pending_jobs: int = option(1024, NON_NEGATIVE_INT)
     #: ``Retry-After`` (seconds) suggested on a queue-depth 429.
-    admission_retry_after: float = 1.0
+    admission_retry_after: float = option(1.0, NON_NEGATIVE_NUMBER)
     #: ``Retry-After`` (seconds) suggested on a drain-time 503.
-    drain_retry_after: float = 2.0
+    drain_retry_after: float = option(2.0, NON_NEGATIVE_NUMBER)
     #: Longest a graceful drain waits for in-flight work before the
     #: server hard-stops whatever is left.
-    drain_timeout: float = 30.0
+    drain_timeout: float = option(30.0, POSITIVE_NUMBER)
     #: Per-client token-bucket capacity for explore requests, keyed on
     #: the identity header (one token per job; ``None`` = quotas off).
-    quota_tokens: Optional[float] = None
+    quota_tokens: Optional[float] = option(None, POSITIVE_NUMBER)
     #: Tokens refilled per second per client.
-    quota_refill_per_second: float = 1.0
+    quota_refill_per_second: float = option(1.0, POSITIVE_NUMBER)
     #: Work-queue ledger mounted at ``/v1/queue/*`` (``memory://<name>``
     #: or ``sqlite:///path``; ``None`` = a fresh in-memory queue).
     queue_url: Optional[str] = None
 
     def __post_init__(self) -> None:
+        for f in _BOUNDED_FIELDS:
+            value = getattr(self, f.name)
+            if value is not None:
+                f.metadata["bound"].check(value, f.name)
         # A default outside the request rule would turn every request that
         # names no timeout into a 400 blaming the client.
-        timeout = self.default_timeout
-        if timeout is not None and not seconds_in_range(timeout, self.max_timeout):
-            raise ValueError(
-                f"default_timeout must be a number of seconds in (0, {self.max_timeout}]"
-                f" or None, got {timeout!r}"
-            )
+        if self.default_timeout is not None:
+            self.timeout_bound().check(self.default_timeout, "default_timeout")
+
+    def timeout_bound(self) -> Bound:
+        """The ``(0, max_timeout]`` rule of every per-job deadline."""
+        return POSITIVE_NUMBER.capped(self.max_timeout)
+
+
+_BOUNDED_FIELDS = declared(ServiceConfig)
+
+#: The ServiceConfig field that caps each ceilinged search option.
+_CEILINGS = {
+    "loop_bound": "loop_bound_limit",
+    "max_states": "max_states_limit",
+    "deadline_seconds": "max_timeout",
+    "samples": "max_samples_limit",
+    "sample_depth": "max_sample_depth_limit",
+}
+
+
+def request_bounds(config: ServiceConfig) -> dict[str, Bound]:
+    """Each search option's declared bound, capped by its ``config`` ceiling."""
+    bounds = {f.name: f.metadata["bound"] for f in SEARCH_OPTIONS}
+    for name, ceiling in _CEILINGS.items():
+        bounds[name] = bounds[name].capped(getattr(config, ceiling))
+    return bounds
 
 
 @dataclass
@@ -346,6 +343,8 @@ class ExplorationService:
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
+        self._bounds = request_bounds(self.config)
+        self._timeout_bound = self.config.timeout_bound()
         self.stats = ServiceStats()
         self.lru = LruResultCache(self.config.lru_capacity)
         self.disk = open_cache(self.config.cache_dir)
@@ -462,35 +461,28 @@ class ExplorationService:
         options = payload.get("options") or {}
         if not isinstance(options, dict):
             raise ServiceError("'options' must be an object")
-        config = self.config
-        loop_bound = _int_option(options, "loop_bound", 2, config.loop_bound_limit)
-        timeout = _seconds_option(options, "timeout", config.default_timeout, config.max_timeout)
-        include_outcomes = options.get("include_outcomes", True)
-        if not isinstance(include_outcomes, bool):
-            raise ServiceError("'include_outcomes' must be a boolean")
-        # The deadline tier: a kernel-enforced wall-clock budget per job.
-        # Unlike 'timeout' (which kills the worker process), the kernel
-        # stops at the budget and returns what it found, explicitly
-        # flagged truncated — a cheap, bounded answer, never a silent one.
-        deadline_seconds = _seconds_option(options, "deadline_seconds", None, config.max_timeout)
-        max_states = _int_option(options, "max_states", None, config.max_states_limit)
-
-        from ..explore import BACKENDS, DEFAULT_BACKEND, DEFAULT_STRATEGY, STRATEGIES
-
-        strategy = options.get("strategy", DEFAULT_STRATEGY)
-        if strategy not in STRATEGIES:
-            raise ServiceError(
-                f"unknown strategy {strategy!r}; choose from {', '.join(STRATEGIES)}"
+        try:
+            # An option left out, or given as null, takes its declared
+            # default.  Each one enters the job configs, so a sampled or
+            # deadline-tier run caches, coalesces and LRU-serves under its
+            # own fingerprint, never shadowing an exhaustive result.
+            search = {
+                name: bound.check(options[name], name)
+                for name, bound in self._bounds.items()
+                if options.get(name) is not None
+            }
+            # Unlike the kernel's deadline_seconds, 'timeout' kills the
+            # worker process; null asks for no deadline at all.
+            timeout = options.get("timeout", self.config.default_timeout)
+            if timeout is not None:
+                timeout = self._timeout_bound.check(timeout, "timeout")
+            include_outcomes = BOOLEAN.check(
+                options.get("include_outcomes", True), "include_outcomes"
             )
-        samples = _int_option(options, "samples", 256, config.max_samples_limit)
-        sample_depth = _int_option(options, "sample_depth", 4096, config.max_sample_depth_limit)
-        seed = options.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ServiceError("'seed' must be an integer")
-
-        backend = options.get("backend", DEFAULT_BACKEND)
-        if not isinstance(backend, str) or backend not in BACKENDS:
-            raise ServiceError(f"unknown backend {backend!r}; choose from {', '.join(BACKENDS)}")
+        except BoundsError as exc:
+            raise ServiceError(str(exc)) from exc
+        explore_config = ExploreConfig(**search)
+        flat_config = FlatConfig(**search)
 
         models = payload.get("models", ["promising"])
         if isinstance(models, str):
@@ -529,7 +521,7 @@ class ExplorationService:
             from ..litmus.format import parse_litmus
 
             try:
-                parsed = parse_litmus(source, unroll_bound=loop_bound)
+                parsed = parse_litmus(source, unroll_bound=explore_config.loop_bound)
             except Exception as exc:
                 raise ServiceError(f"unparseable litmus source: {exc}") from exc
             test = parsed.test
@@ -547,31 +539,13 @@ class ExplorationService:
             if arch is None:
                 arch = Arch.ARM
 
-        search_kwargs = dict(
-            loop_bound=loop_bound,
-            strategy=strategy,
-            samples=samples,
-            sample_depth=sample_depth,
-            seed=seed,
-            backend=backend,
-        )
-        if max_states is not None:
-            search_kwargs["max_states"] = max_states
-        if deadline_seconds is not None:
-            search_kwargs["deadline_seconds"] = deadline_seconds
-        # Strategy and sampling knobs are ordinary config fields, so they
-        # enter each job's fingerprint: a sampled run caches, coalesces,
-        # and LRU-serves under its own key, never shadowing an exhaustive
-        # result for the same test.
-        explore_config = ExploreConfig(**search_kwargs)
-        flat_config = FlatConfig(**search_kwargs)
         jobs = [
             Job(
                 test=test,
                 model=model,
                 arch=arch,
                 explore_config=explore_config,
-                axiomatic_config=AxiomaticConfig(loop_bound=loop_bound),
+                axiomatic_config=AxiomaticConfig(loop_bound=explore_config.loop_bound),
                 flat_config=flat_config,
             )
             for model in models
@@ -583,7 +557,7 @@ class ExplorationService:
             jobs=jobs,
             timeout=timeout,
             include_outcomes=include_outcomes,
-            deadline_seconds=deadline_seconds,
+            deadline_seconds=search.get("deadline_seconds"),
         )
 
     # -- request handling ----------------------------------------------------
@@ -1037,5 +1011,6 @@ __all__ = [
     "ServiceStats",
     "TokenBuckets",
     "percentile",
+    "request_bounds",
     "states_explored",
 ]

@@ -1,24 +1,13 @@
 """Command-line interface: ``promising-arm``.
 
-Sub-commands mirror how the paper's rmem-based tool is used:
-
-* ``run`` — exhaustively explore a litmus file (or a catalogue test) and
-  print the allowed final states;
-* ``interactive`` — step through an execution transition by transition;
-* ``catalogue`` — list the built-in litmus tests and their verdicts;
-* ``agreement`` — compare the promising and axiomatic models on the
-  generated litmus battery;
-* ``sweep`` — run a battery across several models through the parallel
-  sweep harness, with a persistent result cache and a JSON report;
-* ``fuzz`` — differential fuzzing: run the cycle-generated corpus across
-  models and architectures, reporting every cross-model disagreement as a
-  counterexample with its reproducing test source;
-* ``serve`` — start the long-lived exploration service: an HTTP/JSON
-  front-end over a process-resident LRU, the persistent result cache,
-  and a warm worker pool, with request coalescing and micro-batching;
-* ``work`` — join a distributed fleet: claim leased litmus jobs from a
-  shared work backend (``sweep``/``fuzz`` ``--distributed`` enqueue
-  them), execute them, and write results into the shared cache.
+Sub-commands mirror how the paper's rmem-based tool is used: ``run`` and
+``interactive`` explore one litmus test, ``catalogue`` lists the built-in
+ones, ``agreement``, ``sweep`` and ``fuzz`` run batteries across models
+through the parallel harness, ``serve`` starts the exploration service
+and ``work`` joins a distributed fleet.  ``docs/cli.md`` documents every
+option.  The global search flags are derived from the option declarations
+on :class:`~repro.explore.config.BaseSearchConfig`, and every numeric flag
+is checked by the shared :mod:`repro.bounds` rule at parse time.
 
 Each sub-command imports what it runs inside its own body: a cold
 ``run`` (one litmus test per process, as the paper's tool is used) loads
@@ -30,14 +19,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import sys
 from pathlib import Path
+from typing import Callable
 
-from ..explore import BACKENDS, DEFAULT_BACKEND, DEFAULT_STRATEGY, STRATEGIES
+from ..bounds import NON_NEGATIVE_INT, NON_NEGATIVE_NUMBER, POSITIVE_INT, POSITIVE_NUMBER, Bound
+from ..explore.config import SEARCH_OPTIONS
 from ..harness.jobs import DEFAULT_MODELS, MODELS
 from ..lang.kinds import ARCH_ALIASES, Arch, parse_arch
-from ..obs import LOG_FORMATS, configure_logging
+from ..obs import LOG_FORMATS, LOG_LEVELS, configure_logging
 from ..litmus import all_tests, get_test, run_axiomatic, run_promising
 from ..promising.exhaustive import ExploreConfig
 
@@ -53,36 +43,48 @@ def _arch(name: str) -> Arch:
     return arch
 
 
-def _positive_int(text: str) -> int:
-    # Reject out-of-range loop bounds and sampling knobs at parse time
-    # (exit 2, matching the service's 400) instead of exploring with a
-    # meaningless unroll or letting RandomWalks raise mid-exploration.
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _bounded(bound) -> Callable[[str], float]:
+    """argparse ``type=`` applying the shared bounds rule: a miss exits 2.  ``bound``
+    may be a callable returning the rule, when it sits behind a costly import."""
+
+    def parse(text: str) -> float:
+        rule = bound() if callable(bound) else bound
+        try:
+            return rule.check(rule.kind(text))
+        except ValueError:  # a BoundsError, or text that is not a `kind` at all
+            raise argparse.ArgumentTypeError(f"must be {rule.describe()}, got {text!r}") from None
+
+    return parse
 
 
-def _positive_seconds(text: str) -> float:
-    # A zero, negative or non-finite deadline would silently run with no
-    # deadline at all; refuse it at parse time (exit 2) instead.
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError("must be a positive number of seconds")
-    return value
+def _service_deadline() -> Bound:
+    # serve's default deadline takes the service's own request rule, so a
+    # default outside it cannot turn every request into a 400.
+    from ..service.core import ServiceConfig
+
+    return ServiceConfig().timeout_bound()
 
 
-def _serve_timeout(text: str) -> float:
-    # The service's own (0, max_timeout] rule: a default deadline outside
-    # it would answer every request that names no timeout with a 400.
-    from ..service.core import ServiceConfig, seconds_in_range
+def _names(what: str, known, key=str) -> Callable[[str], tuple[str, ...]]:
+    """argparse ``type=`` for a comma-separated list of ``known`` names (or a callable
+    returning them).  An empty list would run a vacuous 0-job battery: refused."""
 
-    value = float(text)
-    if not seconds_in_range(value, ServiceConfig.max_timeout):
-        raise argparse.ArgumentTypeError(
-            f"must be a number of seconds in (0, {ServiceConfig.max_timeout}]"
-        )
-    return value
+    def parse(text: str) -> tuple[str, ...]:
+        valid = known() if callable(known) else known
+        names = tuple(name.strip() for name in text.split(",") if name.strip())
+        unknown = [name for name in names if key(name) not in valid]
+        if unknown or not names:
+            problem = f"unknown {what} {', '.join(unknown)}" if unknown else f"no {what} given"
+            raise argparse.ArgumentTypeError(f"{problem}; choose from {', '.join(valid)}")
+        return names
+
+    return parse
+
+
+def _cycle_families() -> tuple[str, ...]:
+    from ..litmus.cycles import FAMILIES_BY_NAME
+
+    return tuple(FAMILIES_BY_NAME)
 
 
 def _load_test(args: argparse.Namespace):
@@ -95,43 +97,33 @@ def _load_test(args: argparse.Namespace):
     return get_test(args.test), args.arch
 
 
-def _search_kwargs(args: argparse.Namespace) -> dict:
-    """Kernel-level knobs shared by every explorer config the CLI builds."""
-    return dict(
-        loop_bound=args.loop_bound,
-        strategy=getattr(args, "strategy", DEFAULT_STRATEGY),
-        samples=getattr(args, "samples", 256),
-        sample_depth=getattr(args, "sample_depth", 4096),
-        seed=getattr(args, "seed", 0),
-        backend=getattr(args, "backend", DEFAULT_BACKEND),
-    )
+#: The search options the CLI exposes as global flags.
+_SEARCH_FLAGS = tuple(f.name for f in SEARCH_OPTIONS if f.metadata["flag"])
 
 
 def _explore_config(args: argparse.Namespace) -> ExploreConfig:
-    return ExploreConfig(**_search_kwargs(args))
+    return ExploreConfig(**{name: getattr(args, name) for name in _SEARCH_FLAGS})
 
 
 def _flat_config(args: argparse.Namespace) -> "FlatConfig":
     from ..flat import FlatConfig
 
-    return FlatConfig(**_search_kwargs(args))
+    return FlatConfig(**{name: getattr(args, name) for name in _SEARCH_FLAGS})
 
 
 def _distrib_config(args: argparse.Namespace):
     """``--distributed`` knobs → a :class:`DistribConfig` (or ``None``)."""
-    if not getattr(args, "distributed", False):
+    if not args.distributed:
         return None
     from ..distrib import DistribConfig
     from ..harness.scheduler import default_workers
 
-    if getattr(args, "external_workers", False):
+    if args.external_workers:
         fleet = 0
     else:
         fleet = args.workers if args.workers > 0 else default_workers()
     return DistribConfig(
-        backend_url=getattr(args, "backend_url", None) or "",
-        workers=fleet,
-        stall_timeout=getattr(args, "stall_timeout", None),
+        backend_url=args.backend_url or "", workers=fleet, stall_timeout=args.stall_timeout
     )
 
 
@@ -241,85 +233,46 @@ def cmd_agreement(args: argparse.Namespace) -> int:
     return 0 if not report.disagreements else 1
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def _batch_kwargs(args: argparse.Namespace, cache) -> dict:
+    """What ``run_sweep`` and ``run_fuzz`` take from the shared batch flags."""
     from ..axiomatic import AxiomaticConfig
-    from ..harness.sweep import run_sweep
-    from ..litmus import generate_battery
 
-    arch = args.arch
-    models = tuple(m.strip() for m in args.models.split(",") if m.strip())
-    unknown = [m for m in models if m not in MODELS]
-    if unknown:
-        print(f"unknown model(s) {', '.join(unknown)}; choose from {', '.join(MODELS)}")
-        return 2
-    if not models:
-        print(f"no models given; choose from {', '.join(MODELS)}")
-        return 2
-    tests = generate_battery(max_tests=args.max_tests)
-    if args.catalogue:
-        tests = tests + [t for t in all_tests() if t.program.n_threads <= 3]
-    sweep = run_sweep(
-        tests,
-        models,
-        arch,
+    return dict(
         workers=args.workers,
         timeout=args.timeout,
-        cache=args.cache_dir,
+        cache=cache,
         report_path=args.report,
         explore_config=_explore_config(args),
         axiomatic_config=AxiomaticConfig(loop_bound=args.loop_bound),
         flat_config=_flat_config(args),
         distrib=_distrib_config(args),
     )
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    from ..harness.sweep import run_sweep
+    from ..litmus import generate_battery
+
+    arch = args.arch
+    tests = generate_battery(max_tests=args.max_tests)
+    if args.catalogue:
+        tests = tests + [t for t in all_tests() if t.program.n_threads <= 3]
+    sweep = run_sweep(tests, args.models, arch, **_batch_kwargs(args, args.cache_dir))
     print(sweep.describe())
     if args.report:
         print(f"report written to {args.report}")
     return 0 if sweep.ok else 1
 
 
-_ARCH_NAMES = tuple(ARCH_ALIASES)
-
-
 def cmd_fuzz(args: argparse.Namespace) -> int:
     import tempfile
 
-    from ..axiomatic import AxiomaticConfig
     from ..harness.fuzz import run_fuzz
     from ..litmus import attach_expected, generate_cycle_battery
-    from ..litmus.cycles import FAMILIES_BY_NAME
 
-    models = tuple(m.strip() for m in args.models.split(",") if m.strip())
-    unknown = [m for m in models if m not in MODELS]
-    if unknown:
-        print(f"unknown model(s) {', '.join(unknown)}; choose from {', '.join(MODELS)}")
-        return 2
-    if not models:
-        print(f"no models given; choose from {', '.join(MODELS)}")
-        return 2
-    arch_names = [a.strip() for a in args.archs.split(",") if a.strip()]
-    unknown_archs = [a for a in arch_names if a.lower() not in _ARCH_NAMES]
-    if unknown_archs:
-        print(
-            f"unknown arch(s) {', '.join(unknown_archs)}; "
-            f"choose from {', '.join(_ARCH_NAMES)}"
-        )
-        return 2
-    if not arch_names:
-        print(f"no architectures given; choose from {', '.join(_ARCH_NAMES)}")
-        return 2
-    archs = tuple(parse_arch(a) for a in arch_names)
-    families = None
-    if args.families:
-        families = [f.strip() for f in args.families.split(",") if f.strip()]
-        unknown_families = [f for f in families if f not in FAMILIES_BY_NAME]
-        if unknown_families:
-            print(
-                f"unknown cycle family(ies) {', '.join(unknown_families)}; "
-                f"choose from {', '.join(FAMILIES_BY_NAME)}"
-            )
-            return 2
+    archs = tuple(parse_arch(name) for name in args.archs)
     tests = generate_cycle_battery(
-        families=families, max_tests=args.max_tests, max_per_family=args.max_per_family
+        families=args.families, max_tests=args.max_tests, max_per_family=args.max_per_family
     )
     with contextlib.ExitStack() as stack:
         cache_dir = args.cache_dir
@@ -330,6 +283,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             cache_dir = stack.enter_context(
                 tempfile.TemporaryDirectory(prefix="promising-fuzz-cache-")
             )
+        batch = _batch_kwargs(args, cache_dir)
         if args.expected:
             # Attach the axiomatic-oracle verdict per architecture; the
             # fuzz run then also checks each model against it.  The oracle
@@ -341,22 +295,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                 workers=args.workers,
                 timeout=args.timeout,
                 cache=cache_dir,
-                axiomatic_config=AxiomaticConfig(loop_bound=args.loop_bound),
+                axiomatic_config=batch["axiomatic_config"],
             )
-
-        fuzz = run_fuzz(
-            tests,
-            models,
-            archs,
-            workers=args.workers,
-            timeout=args.timeout,
-            cache=cache_dir,
-            report_path=args.report,
-            explore_config=_explore_config(args),
-            axiomatic_config=AxiomaticConfig(loop_bound=args.loop_bound),
-            flat_config=_flat_config(args),
-            distrib=_distrib_config(args),
-        )
+        fuzz = run_fuzz(tests, args.models, archs, **batch)
     print(fuzz.describe())
     if args.report:
         print(f"report written to {args.report}")
@@ -402,19 +343,29 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_distrib_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--distributed", action="store_true",
-                        help="run the batch on a distributed work backend: --workers "
-                             "fleet processes are spawned locally unless "
-                             "--external-workers attaches to an existing fleet")
-    parser.add_argument("--backend-url", default=None,
-                        help="work backend shared with the fleet (sqlite:///path or "
-                             "http://host:port; default: ephemeral SQLite tmpdir)")
-    parser.add_argument("--external-workers", action="store_true",
-                        help="spawn no local workers; an external fleet "
-                             "(promising-arm work) serves the queue")
-    parser.add_argument("--stall-timeout", type=_positive_seconds, default=None,
-                        help="abort if no distributed item completes for this long")
+def _batch_parents() -> tuple[argparse.ArgumentParser, ...]:
+    """Parent parsers of the batch commands' shared flags: ``batch`` (all
+    three), ``report`` and ``distrib`` (``sweep`` and ``fuzz``)."""
+    batch = argparse.ArgumentParser(add_help=False)
+    batch.add_argument("--workers", type=_bounded(NON_NEGATIVE_INT), default=1,
+                       help="worker processes (0 = one per CPU)")
+    batch.add_argument("--cache-dir", default=None, help="persistent result cache directory")
+    batch.add_argument("--timeout", type=_bounded(POSITIVE_NUMBER), default=None,
+                       help="per-job timeout in seconds")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--report", default=None, help="write a JSON report to this path")
+    distrib = argparse.ArgumentParser(add_help=False)
+    distrib.add_argument("--distributed", action="store_true",
+                         help="run on a distributed work backend, with --workers local "
+                              "fleet processes unless --external-workers")
+    distrib.add_argument("--backend-url", default=None,
+                         help="work backend shared with the fleet: sqlite:///path or "
+                              "http://host:port (default: an ephemeral SQLite queue)")
+    distrib.add_argument("--external-workers", action="store_true",
+                         help="spawn no workers; an external fleet serves the queue")
+    distrib.add_argument("--stall-timeout", type=_bounded(POSITIVE_NUMBER), default=None,
+                         help="abort if no distributed item completes for this long")
+    return batch, report, distrib
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,29 +376,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--arch", type=_arch, default=Arch.ARM,
                         help="architecture: arm (default) or riscv; "
                              f"spellings: {', '.join(ARCH_ALIASES)}")
-    parser.add_argument("--loop-bound", type=_positive_int, default=2,
-                        help="loop unrolling bound")
-    parser.add_argument("--strategy", choices=STRATEGIES, default=DEFAULT_STRATEGY,
-                        help="search strategy: dfs enumerates exhaustively, "
-                             "sample runs seeded bounded random walks "
-                             "(sound under-approximation for huge state spaces)")
-    parser.add_argument("--samples", type=_positive_int, default=256,
-                        help="random walks performed by --strategy sample")
-    parser.add_argument("--sample-depth", type=_positive_int, default=4096,
-                        help="step bound of one random walk before restart")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="PRNG seed of --strategy sample (same seed, same outcomes)")
-    parser.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-                        help="execution backend: packed (default) compiles the "
-                             "program once and explores interned integer-tuple "
-                             "states; object walks the readable reference "
-                             "dataclass states (same outcomes, slower)")
+    for field in SEARCH_OPTIONS:
+        if field.metadata["flag"]:
+            bound = field.metadata["bound"]
+            parser.add_argument("--" + field.name.replace("_", "-"), default=field.default,
+                                type=_bounded(bound), choices=bound.choices or None,
+                                help=field.metadata["help"])
     parser.add_argument("--log-format", choices=LOG_FORMATS, default="text",
-                        help="structured log output: text (default) or json "
-                             "(one JSON object per line on stderr)")
-    parser.add_argument("--log-level", default="info",
-                        help="log verbosity: debug, info (default), warning, error")
+                        help="log output on stderr: text, or json with one object per line")
+    parser.add_argument("--log-level", type=str.lower, choices=LOG_LEVELS, default="info",
+                        help="log verbosity (default info)")
     sub = parser.add_subparsers(dest="command", required=True)
+    batch, report, distrib = _batch_parents()
 
     run_parser = sub.add_parser("run", help="exhaustively explore a litmus test")
     run_parser.add_argument("--file", help="path to a .litmus file")
@@ -463,58 +403,45 @@ def build_parser() -> argparse.ArgumentParser:
     cat_parser = sub.add_parser("catalogue", help="list built-in litmus tests")
     cat_parser.set_defaults(func=cmd_catalogue)
 
-    agree_parser = sub.add_parser("agreement", help="promising vs axiomatic agreement run")
-    agree_parser.add_argument("--max-tests", type=int, default=40)
-    agree_parser.add_argument("--workers", type=int, default=1,
-                              help="worker processes (0 = one per CPU)")
-    agree_parser.add_argument("--cache-dir", default=None, help="persistent result cache directory")
-    agree_parser.add_argument("--timeout", type=_positive_seconds, default=None,
-                              help="per-job timeout in seconds")
+    agree_parser = sub.add_parser(
+        "agreement", parents=[batch], help="promising vs axiomatic agreement run"
+    )
+    agree_parser.add_argument("--max-tests", type=_bounded(POSITIVE_INT), default=40,
+                              help="size of the generated battery")
     agree_parser.set_defaults(func=cmd_agreement)
 
     sweep_parser = sub.add_parser(
-        "sweep", help="run a litmus battery across models via the parallel harness"
+        "sweep",
+        parents=[batch, report, distrib],
+        help="run a litmus battery across models via the parallel harness",
     )
-    sweep_parser.add_argument("--max-tests", type=int, default=40,
+    sweep_parser.add_argument("--max-tests", type=_bounded(POSITIVE_INT), default=40,
                               help="size of the generated battery")
-    sweep_parser.add_argument("--models", default=",".join(DEFAULT_MODELS),
-                              help="comma-separated: promising,axiomatic,flat,promising-naive")
-    sweep_parser.add_argument("--workers", type=int, default=1,
-                              help="worker processes (0 = one per CPU)")
-    sweep_parser.add_argument("--cache-dir", default=None, help="persistent result cache directory")
-    sweep_parser.add_argument("--timeout", type=_positive_seconds, default=None,
-                              help="per-job timeout in seconds")
-    sweep_parser.add_argument("--report", default=None,
-                              help="write a JSON sweep report to this path")
+    sweep_parser.add_argument("--models", type=_names("model(s)", MODELS),
+                              default=",".join(DEFAULT_MODELS),
+                              help=f"comma-separated, from: {','.join(MODELS)}")
     sweep_parser.add_argument("--catalogue", action="store_true",
-                              help="also include the hand-written catalogue tests "
-                                   "(those with at most 3 threads)")
-    _add_distrib_args(sweep_parser)
+                              help="also run the catalogue tests with at most 3 threads")
     sweep_parser.set_defaults(func=cmd_sweep)
 
     fuzz_parser = sub.add_parser(
         "fuzz",
+        parents=[batch, report, distrib],
         help="differential fuzzing of the cycle-generated corpus across models/archs",
     )
-    fuzz_parser.add_argument("--max-tests", type=int, default=None,
+    fuzz_parser.add_argument("--max-tests", type=_bounded(POSITIVE_INT), default=None,
                              help="truncate the generated corpus (default: full)")
-    fuzz_parser.add_argument("--max-per-family", type=int, default=64,
-                             help="cap per cycle family (default 64)")
-    fuzz_parser.add_argument("--families", default=None,
-                             help="comma-separated cycle families (default: all)")
-    fuzz_parser.add_argument("--models", default="promising,axiomatic",
-                             help="comma-separated: promising,axiomatic,flat,promising-naive")
-    fuzz_parser.add_argument("--archs", default="arm,riscv",
-                             help="comma-separated architectures (default arm,riscv)")
-    fuzz_parser.add_argument("--workers", type=int, default=1,
-                             help="worker processes (0 = one per CPU)")
-    fuzz_parser.add_argument("--cache-dir", default=None, help="persistent result cache directory")
-    fuzz_parser.add_argument("--timeout", type=_positive_seconds, default=None,
-                             help="per-job timeout in seconds")
-    fuzz_parser.add_argument("--report", default=None, help="write a JSON fuzz report to this path")
+    fuzz_parser.add_argument("--max-per-family", type=_bounded(POSITIVE_INT), default=64,
+                             help="cap per cycle family")
+    fuzz_parser.add_argument("--families", type=_names("cycle family(ies)", _cycle_families),
+                             default=None, help="comma-separated cycle families (default: all)")
+    fuzz_parser.add_argument("--models", type=_names("model(s)", MODELS),
+                             default="promising,axiomatic",
+                             help=f"comma-separated, from: {','.join(MODELS)}")
+    fuzz_parser.add_argument("--archs", type=_names("arch(s)", ARCH_ALIASES, key=str.lower),
+                             default="arm,riscv", help="comma-separated architectures")
     fuzz_parser.add_argument("--expected", action="store_true",
                              help="attach axiomatic-oracle expected verdicts to the corpus")
-    _add_distrib_args(fuzz_parser)
     fuzz_parser.set_defaults(func=cmd_fuzz)
 
     work_parser = sub.add_parser(
@@ -522,21 +449,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="join a distributed fleet: claim and execute leased litmus jobs",
     )
     work_parser.add_argument("--backend-url", required=True,
-                             help="shared work backend: http://host:port (a promising-arm "
-                                  "serve queue, no shared filesystem needed), "
-                                  "sqlite:///path/to/queue.db "
-                                  "(or a bare path)")
+                             help="shared work backend: http://host:port (a serve queue), "
+                                  "sqlite:///path/to/queue.db or a bare path")
     work_parser.add_argument("--cache-dir", default=None,
                              help="shared persistent result cache directory")
     work_parser.add_argument("--worker-id", default=None,
                              help="stable worker identity (default host-pid)")
-    work_parser.add_argument("--lease-seconds", type=float, default=30.0,
+    work_parser.add_argument("--lease-seconds", type=_bounded(POSITIVE_NUMBER), default=30.0,
                              help="claim lease length; heartbeats extend it while running")
-    work_parser.add_argument("--poll-seconds", type=float, default=0.1,
+    work_parser.add_argument("--poll-seconds", type=_bounded(POSITIVE_NUMBER), default=0.1,
                              help="idle back-off between claim attempts")
-    work_parser.add_argument("--max-jobs", type=int, default=None,
+    work_parser.add_argument("--max-jobs", type=_bounded(POSITIVE_INT), default=None,
                              help="exit after claiming this many items (default: serve forever)")
-    work_parser.add_argument("--idle-exit", type=float, default=None,
+    work_parser.add_argument("--idle-exit", type=_bounded(NON_NEGATIVE_NUMBER), default=None,
                              help="exit after the queue has been empty this long")
     work_parser.set_defaults(func=cmd_work)
 
@@ -545,32 +470,31 @@ def build_parser() -> argparse.ArgumentParser:
         help="start the long-lived exploration service (HTTP/JSON, warm worker pool)",
     )
     serve_parser.add_argument("--host", default="127.0.0.1", help="bind address")
-    serve_parser.add_argument("--port", type=int, default=8765,
+    serve_parser.add_argument("--port", type=_bounded(Bound(int, 0, 65535)), default=8765,
                               help="bind port (0 = ephemeral, printed on start)")
-    serve_parser.add_argument("--workers", type=int, default=2,
+    serve_parser.add_argument("--workers", type=_bounded(NON_NEGATIVE_INT), default=2,
                               help="resident worker processes (<=1 = inline executor)")
     serve_parser.add_argument("--cache-dir", default=None,
                               help="persistent result cache directory (shared with sweeps)")
-    serve_parser.add_argument("--lru-capacity", type=int, default=4096,
+    serve_parser.add_argument("--lru-capacity", type=_bounded(POSITIVE_INT), default=4096,
                               help="entries kept in the in-process LRU result cache")
-    serve_parser.add_argument("--batch-max-size", type=int, default=16,
+    serve_parser.add_argument("--batch-max-size", type=_bounded(POSITIVE_INT), default=16,
                               help="most cold jobs dispatched in one micro-batch")
-    serve_parser.add_argument("--batch-delay-ms", type=float, default=10.0,
-                              help="micro-batch accumulation window in milliseconds")
-    serve_parser.add_argument("--timeout", type=_serve_timeout, default=60.0,
+    serve_parser.add_argument("--batch-delay-ms", type=_bounded(NON_NEGATIVE_NUMBER),
+                              default=10.0, help="micro-batch accumulation window in ms")
+    serve_parser.add_argument("--timeout", type=_bounded(_service_deadline), default=60.0,
                               help="default per-job deadline in seconds")
-    serve_parser.add_argument("--max-pending-jobs", type=int, default=1024,
-                              help="admission control: answer 429 + Retry-After once this "
-                                   "many jobs are queued or in flight (0 = unlimited)")
-    serve_parser.add_argument("--quota-tokens", type=float, default=None,
-                              help="per-client token-bucket capacity for /v1/explore, keyed "
-                                   "on X-Client-Id (one token per job; default: quotas off)")
-    serve_parser.add_argument("--quota-refill", type=float, default=1.0,
+    serve_parser.add_argument("--max-pending-jobs", type=_bounded(NON_NEGATIVE_INT),
+                              default=1024, help="answer 429 + Retry-After once this many "
+                                                 "jobs are queued or running (0 = unlimited)")
+    serve_parser.add_argument("--quota-tokens", type=_bounded(POSITIVE_NUMBER), default=None,
+                              help="per-client token bucket on X-Client-Id, one token "
+                                   "per job (default: quotas off)")
+    serve_parser.add_argument("--quota-refill", type=_bounded(POSITIVE_NUMBER), default=1.0,
                               help="tokens refilled per second per client")
     serve_parser.add_argument("--queue-url", default=None,
-                              help="ledger mounted at /v1/queue for HTTP fleets "
-                                   "(sqlite:///path or memory://name; default: fresh "
-                                   "in-memory queue)")
+                              help="ledger mounted at /v1/queue: sqlite:///path or "
+                                   "memory://name (default: a fresh in-memory queue)")
     serve_parser.set_defaults(func=cmd_serve)
     return parser
 

@@ -36,6 +36,7 @@ from repro.distrib.backend import (
     STATUS_LEASED,
     STATUS_PENDING,
 )
+from repro.distrib.http_backend import QueueHttpApi
 from repro.distrib.worker import decode_result, encode_work
 from repro.harness import BatchStats, run_fuzz, run_jobs, run_sweep
 from repro.harness.jobs import Job, STATUS_ERROR
@@ -304,6 +305,18 @@ class TestOpenBackend:
         backend.close()
         with pytest.raises(ValueError):
             HttpWorkBackend("http:///nohost")
+
+
+class TestQueueHttpApi:
+    @pytest.mark.parametrize("lease", [-5, 0, float("nan"), True, "30"])
+    def test_out_of_range_leases_are_400(self, lease):
+        # A claim with such a lease would be handed out already expired.
+        api = QueueHttpApi(MemoryBackend())
+        api.handle("enqueue", {"item_id": "a", "payload": "eA=="})
+        status, body = api.handle("claim", {"worker_id": "w", "lease_seconds": lease})
+        assert status == 400 and "lease_seconds" in body["error"]
+        status, body = api.handle("claim", {"worker_id": "w", "lease_seconds": 30})
+        assert status == 200 and body["claim"]["item_id"] == "a"
 
 
 # ---------------------------------------------------------------------------

@@ -362,8 +362,12 @@ class TestReport:
         assert artifact["status_counts"] == {"ok": 8}
         assert artifact["mismatches"] == []
 
-    def test_cli_sweep_rejects_unknown_model(self):
-        assert main(["sweep", "--models", "bogus"]) == 2
+    def test_cli_sweep_rejects_unknown_model(self, capsys):
+        # Checked at parse time: argparse exits 2 naming the valid models.
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--models", "bogus"])
+        assert exc.value.code == 2
+        assert "unknown model(s) bogus; choose from" in capsys.readouterr().err
 
     def test_truncated_runs_are_not_reported_as_mismatches(self):
         # A budget-capped exploration has an incomplete outcome set; it
@@ -537,13 +541,18 @@ class TestFuzz:
         assert all(job["matches_expectation"] for job in artifact["jobs"])
 
     def test_cli_fuzz_rejects_bad_arguments(self):
-        assert main(["fuzz", "--models", "bogus"]) == 2
-        assert main(["fuzz", "--families", "NOPE"]) == 2
-        assert main(["fuzz", "--archs", "x86"]) == 2
-        # Empty lists would run a vacuous 0-job battery and exit 0.
-        assert main(["fuzz", "--models", ","]) == 2
-        assert main(["fuzz", "--archs", ","]) == 2
-        assert main(["sweep", "--models", ","]) == 2
+        for argv in (
+            ["fuzz", "--models", "bogus"],
+            ["fuzz", "--families", "NOPE"],
+            ["fuzz", "--archs", "x86"],
+            # Empty lists would run a vacuous 0-job battery and exit 0.
+            ["fuzz", "--models", ","],
+            ["fuzz", "--archs", ","],
+            ["sweep", "--models", ","],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
 
     def test_equal_but_distinct_test_objects_still_pair_up(self):
         # Grouping must be by content, not object identity: jobs built

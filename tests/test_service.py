@@ -7,11 +7,14 @@ through the blocking client — the same path the CI smoke job drives.
 """
 
 import asyncio
+import dataclasses
 import queue
 import threading
 
 import pytest
 
+from repro.bounds import BoundsError
+from repro.explore.config import SEARCH_OPTIONS
 from repro.harness.jobs import Job, execute_job
 from repro.harness.scheduler import WorkerPool
 from repro.lang.kinds import Arch
@@ -148,12 +151,59 @@ class TestNormalize:
         assert self.normalize({"test": "MP"}, default_timeout=600.0).timeout == 600.0
         assert self.normalize({"test": "MP"}, default_timeout=None).timeout is None
 
+    def test_omitted_options_take_the_declared_defaults(self):
+        # No default is restated by the request parser: an option left out,
+        # or sent as null, reaches each job config as its field declares.
+        for options in ({}, dict.fromkeys(opt.name for opt in SEARCH_OPTIONS)):
+            payload = {"test": "SB", "models": ["promising", "flat"], "options": options}
+            request = self.normalize(payload)
+            configs = (request.jobs[0].explore_config, request.jobs[1].flat_config)
+            for config in configs:
+                defaults = {f.name: f.default for f in dataclasses.fields(config)}
+                for opt in SEARCH_OPTIONS:
+                    assert getattr(config, opt.name) == defaults[opt.name], opt.name
+                    # Each model keeps its own state budget; the rest are the
+                    # BaseSearchConfig declarations.
+                    if opt.name != "max_states":
+                        assert defaults[opt.name] == opt.default, opt.name
+            assert request.timeout == ServiceConfig().default_timeout
+            assert request.include_outcomes is True and request.deadline_seconds is None
+
     def test_deadline_shapes_job_fingerprints(self):
         # The deadline enters the search config, so deadline-tier answers
         # never collide with exhaustive ones in any cache layer.
         full = self.normalize({"test": "SB"})
         tiered = self.normalize({"test": "SB", "options": {"deadline_seconds": 2}})
         assert full.jobs[0].fingerprint() != tiered.jobs[0].fingerprint()
+
+
+class TestServiceConfigBounds:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("batch_max_size", 0),  # the dispatch loop spun without ever yielding
+            ("max_pending_jobs", -1),  # every request was answered 429
+            ("lru_capacity", 0),
+            ("quota_refill_per_second", 0.0),
+            ("quota_tokens", 0.0),
+            ("workers", -1),
+            ("batch_max_delay", -0.01),
+            ("max_concurrent_batches", -1),
+            ("max_timeout", float("inf")),
+            ("loop_bound_limit", True),
+            ("latency_window", 0),
+            ("drain_timeout", float("nan")),
+        ],
+    )
+    def test_out_of_range_fields_are_refused(self, name, value):
+        # Checked on construction, so a config built in code is refused
+        # exactly as serve's flags are.
+        with pytest.raises(BoundsError, match=name):
+            ServiceConfig(**{"workers": 1, name: value})
+
+    def test_boundary_values_are_accepted(self):
+        config = ServiceConfig(workers=0, batch_max_delay=0.0, max_pending_jobs=0, quota_tokens=0.5)
+        assert config.max_pending_jobs == 0 and config.quota_tokens == 0.5
 
 
 class TestTokenBuckets:
@@ -689,18 +739,22 @@ class TestKeepAliveProtocol:
 
 
 class TestVersioningShim:
-    def test_legacy_paths_answer_with_deprecation_header(self, live_service):
-        legacy = ServiceClient(live_service.host, live_service.port, api_prefix="")
-        try:
-            status, headers, _body = legacy._raw_request("GET", "/healthz")
-            assert status == 200
-            assert headers["deprecation"] == "true"
-            assert 'rel="successor-version"' in headers["link"]
-            # The deprecated surface still fully works.
-            response = legacy.explore(test="SB")
-            assert response["ok"]
-        finally:
-            legacy.close()
+    def test_unversioned_paths_answer_404(self, live_service):
+        # The pre-/v1 surface is retired: each of its paths is a plain 404,
+        # and an unversioned /shutdown stops nothing.
+        for method, path in (
+            ("GET", "/healthz"),
+            ("GET", "/stats"),
+            ("GET", "/metrics"),
+            ("POST", "/explore"),
+            ("POST", "/queue/info"),
+            ("POST", "/shutdown"),
+        ):
+            payload = {"test": "SB"} if path == "/explore" else None
+            status, headers, _body = live_service._raw_request(method, path, payload)
+            assert status == 404, path
+            assert "deprecation" not in headers
+        assert live_service.healthz()["status"] == "ok"
 
     def test_versioned_paths_carry_no_deprecation_header(self, live_service):
         status, headers, _body = live_service._raw_request("GET", "/v1/healthz")

@@ -75,18 +75,53 @@ class TestCli:
             ["fuzz", "--max-per-family", "1", "--timeout", "nan"],
             ["sweep", "--max-tests", "1", "--distributed", "--stall-timeout", "0"],
             ["fuzz", "--max-per-family", "1", "--distributed", "--stall-timeout", "-5"],
+            ["--samples", "0", "run", "--test", "MP"],
+            ["--seed", "1.5", "run", "--test", "MP"],
+            ["--log-level", "bogus", "run", "--test", "MP"],
+            # A negative --max-tests would slice off the battery's tail.
+            ["sweep", "--max-tests", "-3"],
+            ["agreement", "--max-tests", "0"],
+            ["fuzz", "--max-tests", "0"],
+            ["fuzz", "--max-per-family", "-1"],
+            ["sweep", "--max-tests", "1", "--workers", "-2"],
+            ["agreement", "--max-tests", "1", "--workers", "-1"],
+            # A negative poll would crash time.sleep after the first empty claim.
+            ["work", "--backend-url", "memory://q", "--poll-seconds", "-1", "--idle-exit", "1"],
+            ["work", "--backend-url", "memory://q", "--poll-seconds", "0", "--idle-exit", "1"],
+            ["work", "--backend-url", "memory://q", "--lease-seconds", "0", "--idle-exit", "1"],
+            ["work", "--backend-url", "memory://q", "--lease-seconds", "nan", "--idle-exit", "1"],
+            ["work", "--backend-url", "memory://q", "--idle-exit", "-1"],
+            ["work", "--backend-url", "memory://q", "--max-jobs", "0", "--idle-exit", "1"],
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
-        # serve's default deadline takes the service's own (0, 600] rule;
-        # parsed only, so a regression cannot start a server here.
-        for timeout in ("0", "-1", "600.5", "inf"):
+        # serve's default deadline takes the service's own (0, 600] rule,
+        # and its sizing flags the ServiceConfig bounds; parsed only, so a
+        # regression cannot start a server here.
+        for argv in (
+            *(["serve", "--timeout", timeout] for timeout in ("0", "-1", "600.5", "inf")),
+            # 0 made the dispatch loop spin without ever yielding.
+            ["serve", "--batch-max-size", "0"],
+            # -1 answered every request with 429.
+            ["serve", "--max-pending-jobs", "-1"],
+            ["serve", "--lru-capacity", "0"],
+            ["serve", "--quota-refill", "0"],
+            ["serve", "--quota-tokens", "0"],
+            ["serve", "--batch-delay-ms", "-1"],
+            ["serve", "--workers", "-1"],
+            ["serve", "--port", "-1"],
+            ["serve", "--port", "65536"],
+        ):
             with pytest.raises(SystemExit) as exc:
-                build_parser().parse_args(["serve", "--timeout", timeout])
-            assert exc.value.code == 2, timeout
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2, argv
         assert build_parser().parse_args(["serve", "--timeout", "600"]).timeout == 600.0
         assert build_parser().parse_args(["sweep", "--timeout", "0.5"]).timeout == 0.5
+        assert build_parser().parse_args(["serve", "--port", "65535"]).port == 65535
+        assert build_parser().parse_args(["--log-level", "DEBUG", "run"]).log_level == "debug"
+        work = ["work", "--backend-url", "memory://q", "--idle-exit", "0"]
+        assert build_parser().parse_args(work).idle_exit == 0.0
 
     def test_arch_aliases_resolve_at_parse_time(self):
         args = build_parser().parse_args(["--arch", "RISC-V", "run"])
